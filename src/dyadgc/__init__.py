@@ -39,6 +39,7 @@ from .granger import (
     GCTestResult,
     VarModel,
     average_gc,
+    cap_order,
     f_sf,
     f_statistic,
     fit_var,

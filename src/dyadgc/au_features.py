@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSeries, EmptyOverlap, FormatError, ShapeError
 from .intervals import Interval, IntervalSet
-from .timeseries import STD_DDOF, BinaryMask, TimeSeries
+from .timeseries import STD_DDOF, BinaryMask
 
 #: the 17 AUs with intensity regression in OpenFace 2.0 output.
 AU_IDS: tuple[int, ...] = (1, 2, 4, 5, 6, 7, 9, 10, 12, 14, 15, 17, 20, 23, 25, 26, 45)
@@ -104,10 +104,6 @@ class AURecording:
             self.confidence[keep],
             {au: vals[keep] for au, vals in self.intensities.items()},
         )
-
-    def slice_frames(self, first: int, last: int) -> "AURecording":
-        keep = (self.frame_indices >= first) & (self.frame_indices <= last)
-        return self.restrict(keep)
 
 
 @dataclass(frozen=True)
@@ -349,16 +345,16 @@ def expression_activation(act: Mapping[int, BinaryMask], expr: ExpressionDef) ->
     return BinaryMask(bits, first.start_frame)
 
 
-def expression_signal(rec: AURecording, expr: ExpressionDef) -> TimeSeries:
-    """Continuous expression trace: per-frame mean of the member AU intensities."""
+def expression_signal(rec: AURecording, expr: ExpressionDef) -> np.ndarray:
+    """Continuous expression trace: per-frame mean of the member AU intensities.
+
+    The values align with ``rec.frame_indices``, so a synced recording's
+    confidence gaps carry over unchanged.
+    """
     missing = expr.au_ids - set(rec.au_ids)
     if missing:
         raise ConfigError(f"{expr.name}: recording lacks AUs {sorted(missing)}")
-    if not rec.is_contiguous():
-        raise ShapeError("expression signal needs a gap-free recording")
-    stacked = np.vstack([rec.intensities[a] for a in sorted(expr.au_ids)])
-    start = int(rec.frame_indices[0]) if rec.n_frames else 0
-    return TimeSeries(stacked.mean(axis=0), start)
+    return np.vstack([rec.intensities[a] for a in sorted(expr.au_ids)]).mean(axis=0)
 
 
 def count_activations(mask: BinaryMask, video_len: int) -> float:

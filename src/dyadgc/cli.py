@@ -22,6 +22,7 @@ from .pipeline import (
     Manifest,
     PipelineResult,
     emit_report,
+    emit_tables,
     report_from_dict,
     report_to_dict,
     run_pipeline,
@@ -177,7 +178,7 @@ def _cmd_report(args) -> int:
         k: tuple(v) if isinstance(v, list) else v for k, v in data["config"].items()
     }
     result = PipelineResult(reports, (), occurrence, AnalysisConfig(**cfg_raw))
-    written = emit_report(result, args.out, formats=(args.format,))
+    written = emit_tables(result, args.out, formats=(args.format,))
     print(f"wrote {len(written)} files under {args.out}")
     return EXIT_OK
 

@@ -80,13 +80,12 @@ class GCTestResult:
 
 @dataclass(frozen=True)
 class Design:
-    """Stacked lagged regression rows, with per-row segment provenance."""
+    """Lagged regression rows, stacked segment by segment."""
 
     x_targets: np.ndarray
     y_targets: np.ndarray
     x_lags: np.ndarray  # column j holds the series at lag j+1
     y_lags: np.ndarray
-    row_origin: tuple[tuple[int, int], ...]  # (segment index, target index within segment)
 
 
 def _as_segments(segments) -> list[np.ndarray]:
@@ -107,7 +106,7 @@ def build_design(x_segments, y_segments, order: int) -> Design:
     ys_list = _as_segments(y_segments)
     if len(xs_list) != len(ys_list):
         raise ShapeError("x and y segment lists differ in length")
-    xt, yt, lx, ly, origin = [], [], [], [], []
+    xt, yt, lx, ly = [], [], [], []
     for k, (xs, ys) in enumerate(zip(xs_list, ys_list)):
         if len(xs) != len(ys):
             raise ShapeError(f"segment {k}: x and y lengths differ")
@@ -119,16 +118,9 @@ def build_design(x_segments, y_segments, order: int) -> Design:
         yt.append(ys[idx])
         lx.append(np.column_stack([xs[idx - j] for j in range(1, order + 1)]))
         ly.append(np.column_stack([ys[idx - j] for j in range(1, order + 1)]))
-        origin.extend((k, int(t)) for t in idx)
     if not xt:
         raise InsufficientData(f"no segment exceeds the model order {order}")
-    return Design(
-        np.concatenate(xt),
-        np.concatenate(yt),
-        np.vstack(lx),
-        np.vstack(ly),
-        tuple(origin),
-    )
+    return Design(np.concatenate(xt), np.concatenate(yt), np.vstack(lx), np.vstack(ly))
 
 
 def _ols(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -173,6 +165,21 @@ def fit_var(x_segments, y_segments, order: int) -> VarModel:
         resid_var_enriched_y=rss_e_y / t_eff,
         resid_var_restricted_y=rss_r_y / t_eff,
         n_effective=t_eff,
+    )
+
+
+def cap_order(lengths, m_max: int) -> int:
+    """Largest order in [1, m_max] that segments of these lengths can test.
+
+    Order M leaves ``n - M`` regression rows in a segment of length n, and the
+    F test needs more than ``2M + 1`` rows in total. Raises InsufficientData
+    when not even order 1 fits.
+    """
+    for m in range(m_max, 0, -1):
+        if sum(max(n - m, 0) for n in lengths) > 2 * m + 1:
+            return m
+    raise InsufficientData(
+        f"{sum(lengths)} frames in {len(lengths)} segments cannot support order 1"
     )
 
 

@@ -110,10 +110,6 @@ class IntervalSet:
             bits[iv.start - start_frame : iv.end - start_frame + 1] = True
         return BinaryMask(bits, start_frame)
 
-    @classmethod
-    def from_mask(cls, mask: BinaryMask) -> "IntervalSet":
-        return cls(tuple(Interval(a, b) for a, b in mask.runs()))
-
     def to_tsv(self) -> str:
         """One ``start<TAB>end<TAB>shift`` line per interval (shift may be empty)."""
         lines = [
@@ -280,8 +276,8 @@ def mine_shifted(x: TimeSeries, y: TimeSeries, p: IntervalParams) -> IntervalSet
             xa, ya, off = x.values[: n - s], y.values[s:], 0
         else:
             xa, ya, off = x.values[-s:], y.values[: n + s], -s
-        xs = TimeSeries(xa, x.start_frame + off, x.frame_rate_hz)
-        ys = TimeSeries(ya, x.start_frame + off, y.frame_rate_hz)
+        xs = TimeSeries(xa, x.start_frame + off)
+        ys = TimeSeries(ya, x.start_frame + off)
         for iv in correlated_intervals(xs, ys, p):
             candidates.append(Interval(iv.start, iv.end, shift=s))
     return longest_set(candidates)

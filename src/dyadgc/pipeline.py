@@ -43,6 +43,7 @@ from .au_features import (
     confidence_sync,
     count_activations,
     expression_activation,
+    expression_signal,
     parse_au_csv,
 )
 from .config import AnalysisConfig
@@ -53,7 +54,7 @@ from .errors import (
     InsufficientData,
     SingularDesign,
 )
-from .granger import Direction, GCTestResult, average_gc, gc_test, select_order
+from .granger import Direction, GCTestResult, average_gc, cap_order, gc_test, select_order
 from .intervals import (
     Interval,
     IntervalSet,
@@ -61,9 +62,10 @@ from .intervals import (
     longest_set,
     mine_shifted,
     postprocess,
+    segment_series,
 )
 from .stats import ComparisonRow, condition_comparison
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, standardize
 
 log = logging.getLogger(__name__)
 
@@ -138,12 +140,6 @@ class Manifest:
     def conditions_of(self, pair_id: str) -> list[str]:
         return sorted({r.condition for r in self.rows if r.pair_id == pair_id})
 
-    def lookup(self, pair_id: str, role: str, condition: str) -> ManifestRow | None:
-        for r in self.rows:
-            if (r.pair_id, r.role, r.condition) == (pair_id, role, condition):
-                return r
-        return None
-
 
 @dataclass(frozen=True)
 class MethodCounts:
@@ -159,11 +155,16 @@ class MethodCounts:
 
     def dominant(self) -> str:
         """Which unidirectional count leads; empty string on a tie."""
-        if self.s_gc_r > self.r_gc_s:
-            return "s_gc_r"
-        if self.r_gc_s > self.s_gc_r:
-            return "r_gc_s"
-        return ""
+        return _dominant(self.s_gc_r, self.r_gc_s)
+
+
+def _dominant(s_gc_r: float, r_gc_s: float) -> str:
+    """The dominant-direction rule, for counts and for average counts alike."""
+    if s_gc_r > r_gc_s:
+        return "s_gc_r"
+    if r_gc_s > s_gc_r:
+        return "r_gc_s"
+    return ""
 
 
 @dataclass(frozen=True)
@@ -223,40 +224,24 @@ class PipelineResult:
 # per-cell analysis
 
 
-def _kept_run_signals(pair: SyncedPair, expr, mode: str, au_id: int | None):
+def _kept_run_signals(pair: SyncedPair, s_vals: np.ndarray, r_vals: np.ndarray):
     """Standardized sender/receiver signal per kept run.
 
-    Standardization uses the mean/std over all kept samples (population
-    convention), then the series is cut at the confidence gaps, so every run
-    is a contiguous TimeSeries in absolute frame coordinates.
+    ``s_vals``/``r_vals`` align with the synced frame indices. Standardization
+    uses the mean/std over all kept samples, then the series is cut at the
+    confidence gaps, so every run is a contiguous TimeSeries in absolute frame
+    coordinates. Fewer than two kept samples cannot be standardized and give
+    no run, so every test on them reports ``insufficient``.
     """
-    if mode == "per_au":
-        s_vals = pair.sender.intensities[au_id]
-        r_vals = pair.receiver.intensities[au_id]
-    else:
-        s_vals = np.vstack(
-            [pair.sender.intensities[a] for a in sorted(expr.au_ids)]
-        ).mean(axis=0)
-        r_vals = np.vstack(
-            [pair.receiver.intensities[a] for a in sorted(expr.au_ids)]
-        ).mean(axis=0)
-
-    def norm(vals):
-        std = float(np.std(vals))
-        return (vals - float(np.mean(vals))) / (std if std > 1e-12 else 1.0)
-
-    s_vals = norm(s_vals)
-    r_vals = norm(r_vals)
+    if len(s_vals) < 2:
+        return []
+    s_vals = standardize(TimeSeries(s_vals)).values
+    r_vals = standardize(TimeSeries(r_vals)).values
     frames = pair.sender.frame_indices
     runs = []
     for iv in pair.kept_frames:
         sel = (frames >= iv.start) & (frames <= iv.end)
-        runs.append(
-            (
-                TimeSeries(s_vals[sel], iv.start),
-                TimeSeries(r_vals[sel], iv.start),
-            )
-        )
+        runs.append((TimeSeries(s_vals[sel], iv.start), TimeSeries(r_vals[sel], iv.start)))
     return runs
 
 
@@ -280,42 +265,19 @@ def _mine_expression(
     return per_au, intersect_sets(list(per_au.values()))
 
 
-def _segments_for(runs, selection: IntervalSet):
-    """Aligned (x, y) value arrays for every selection interval, split at run gaps."""
-    segs_x, segs_y, lengths = [], [], []
-    for xs, ys in runs:
-        run_iv = Interval(xs.start_frame, xs.end_frame)
-        for iv in selection:
-            lo, hi = max(iv.start, run_iv.start), min(iv.end, run_iv.end)
-            if lo > hi:
-                continue
-            a = lo - xs.start_frame
-            b = hi - xs.start_frame + 1
-            segs_x.append(xs.values[a:b])
-            segs_y.append(ys.values[a:b])
-            lengths.append(b - a)
-    return segs_x, segs_y, lengths
-
-
-def _run_gc(segs_x, segs_y, lengths, config: AnalysisConfig) -> tuple[str, GCTestResult | None]:
-    """One Granger analysis over the given segments; returns (status, result).
+def _run_gc(segments, config: AnalysisConfig) -> tuple[str, GCTestResult | None]:
+    """One Granger analysis over aligned (x, y) segments; returns (status, result).
 
     Each segment is demeaned first: the autoregressions carry no intercept,
     and a selected interval sits on an elevated activation level, so leaving
     the segment mean in would let cross-lags soak up the constant and fake
     bidirectional causality.
     """
-    segs_x = [s - s.mean() for s in map(np.asarray, segs_x)]
-    segs_y = [s - s.mean() for s in map(np.asarray, segs_y)]
-    if sum(max(n - 1, 0) for n in lengths) < 4:
-        return "insufficient", None
-    # largest order the data can support, capped by the configured maximum
-    m_max = config.m_max
-    while m_max > 1 and sum(max(n - m_max, 0) for n in lengths) <= 2 * m_max + 1:
-        m_max -= 1
-    if sum(max(n - m_max, 0) for n in lengths) <= 2 * m_max + 1:
-        return "insufficient", None
+    segs_x = [x.values - x.values.mean() for x, _ in segments]
+    segs_y = [y.values - y.values.mean() for _, y in segments]
+    lengths = [len(x) for x, _ in segments]
     try:
+        m_max = cap_order(lengths, config.m_max)
         order = select_order(segs_x, segs_y, m_max, config.order_criterion)
         if config.gc_mode == "averaged":
             per, weights = [], []
@@ -339,6 +301,49 @@ def _run_gc(segs_x, segs_y, lengths, config: AnalysisConfig) -> tuple[str, GCTes
         return "insufficient", None
 
 
+def _test_signal(runs, selection: IntervalSet, config: AnalysisConfig):
+    """Full-span and interval-selected (status, result) for one sender/receiver signal.
+
+    The full span tests every kept run; the selected test clips the selection
+    to each run, so a confidence gap always splits a selected interval.
+    """
+    full = _run_gc(runs, config)
+    if len(selection) == 0:
+        return full, ("no_intervals", None)
+    segments = []
+    for xs, ys in runs:
+        run = IntervalSet((Interval(xs.start_frame, xs.end_frame),))
+        segments += segment_series(xs, ys, intersect_sets([selection, run]))
+    return full, _run_gc(segments, config)
+
+
+def _majority(outcomes: list[Direction]) -> Direction:
+    counts = {d: 0 for d in Direction}
+    for o in outcomes:
+        counts[o] += 1
+    best = max(counts.values())
+    leaders = [d for d in Direction if counts[d] == best]
+    return leaders[0] if len(leaders) == 1 else Direction.NONE
+
+
+def _vote(tests, alpha: float) -> tuple[str, GCTestResult | None, int]:
+    """Majority outcome over member-AU (status, result) pairs, and the vote count.
+
+    An AU without intervals votes "none". With no vote the cell is
+    ``insufficient`` when every AU test was, else ``degenerate``.
+    """
+    votes = [
+        result.outcome if status == "ok" else Direction.NONE
+        for status, result in tests
+        if status in ("ok", "no_intervals")
+    ]
+    if not votes:
+        failed = all(status == "insufficient" for status, _ in tests)
+        return ("insufficient" if failed else "degenerate"), None, 0
+    nan = float("nan")
+    return "ok", GCTestResult(nan, nan, nan, nan, alpha, 0, 0, _majority(votes)), len(votes)
+
+
 def analyze_pair_condition(
     sender: AURecording,
     receiver: AURecording,
@@ -349,7 +354,8 @@ def analyze_pair_condition(
 
     ``precomputed`` maps expression name to an already-selected interval set
     (for example from a previous ``intervals`` run); mining is skipped for
-    those expressions.
+    those expressions. In ``per_au`` signal mode each member AU is tested on
+    its own intervals and the cell reports the majority outcome.
     """
     pair_id = sender.participant_id.rsplit("-", 1)[0] or sender.participant_id
     condition = sender.condition
@@ -382,32 +388,32 @@ def analyze_pair_condition(
             continue
 
         # interval mining always runs per AU pair
+        aus = sorted(expr.au_ids)
         runs_per_au = {
-            au: _kept_run_signals(pair, expr, "per_au", au) for au in sorted(expr.au_ids)
+            au: _kept_run_signals(
+                pair, pair.sender.intensities[au], pair.receiver.intensities[au]
+            )
+            for au in aus
         }
         if precomputed is not None and name in precomputed:
             selection = precomputed[name]
-            per_au_sets = {au: selection for au in sorted(expr.au_ids)}
+            per_au_sets = {au: selection for au in aus}
         else:
             per_au_sets, selection = _mine_expression(runs_per_au, params, span)
 
+        note = ""
         if config.signal_mode == "per_au":
-            cells.append(
-                _per_au_cell(pair, expr, runs_per_au, per_au_sets, selection, config, pair_id, kept)
-            )
-            continue
-
-        runs = _kept_run_signals(pair, expr, "expression_mean", None)
-        full_status, full_result = _run_gc(
-            [x.values for x, _ in runs],
-            [y.values for _, y in runs],
-            [len(x) for x, _ in runs],
-            config,
-        )
-        if len(selection) == 0:
-            sel_status, sel_result = "no_intervals", None
+            tests = [_test_signal(runs_per_au[au], per_au_sets[au], config) for au in aus]
+            full_status, full_result, n_full = _vote([f for f, _ in tests], config.alpha)
+            sel_status, sel_result, n_sel = _vote([s for _, s in tests], config.alpha)
+            note = f"per_au majority over {n_full} full / {n_sel} selected AU tests"
         else:
-            sel_status, sel_result = _run_gc(*_segments_for(runs, selection), config)
+            runs = _kept_run_signals(
+                pair, expression_signal(pair.sender, expr), expression_signal(pair.receiver, expr)
+            )
+            (full_status, full_result), (sel_status, sel_result) = _test_signal(
+                runs, selection, config
+            )
         cells.append(
             CellRecord(
                 pair_id,
@@ -420,70 +426,10 @@ def analyze_pair_condition(
                 selection,
                 sum(iv.length for iv in selection),
                 kept,
+                note=note,
             )
         )
     return cells
-
-
-def _majority(outcomes: list[Direction]) -> Direction:
-    counts = {d: 0 for d in Direction}
-    for o in outcomes:
-        counts[o] += 1
-    best = max(counts.values())
-    leaders = [d for d in Direction if counts[d] == best]
-    return leaders[0] if len(leaders) == 1 else Direction.NONE
-
-
-def _per_au_cell(
-    pair, expr, runs_per_au, per_au_sets, selection, config, pair_id, kept
-) -> CellRecord:
-    """Per-AU mode: test each member AU pair on its own intervals, majority vote."""
-    full_out, sel_out = [], []
-    any_full = any_sel = False
-    for au in sorted(expr.au_ids):
-        runs = runs_per_au[au]
-        f_status, f_result = _run_gc(
-            [x.values for x, _ in runs],
-            [y.values for _, y in runs],
-            [len(x) for x, _ in runs],
-            config,
-        )
-        au_sel = per_au_sets[au]
-        if len(au_sel) == 0:
-            s_status, s_result = "no_intervals", None
-        else:
-            s_status, s_result = _run_gc(*_segments_for(runs, au_sel), config)
-        if f_status == "ok":
-            any_full = True
-            full_out.append(f_result.outcome)
-        if s_status == "ok":
-            any_sel = True
-            sel_out.append(s_result.outcome)
-        elif s_status == "no_intervals":
-            any_sel = True
-            sel_out.append(Direction.NONE)
-    note = (
-        f"per_au majority over {len(full_out)} full / {len(sel_out)} selected AU tests"
-    )
-    full_status = "ok" if any_full else "degenerate"
-    sel_status = "ok" if any_sel else "degenerate"
-    mk = lambda outcome: GCTestResult(
-        float("nan"), float("nan"), float("nan"), float("nan"),
-        config.alpha, 0, 0, outcome,
-    )
-    return CellRecord(
-        pair_id,
-        pair.sender.condition,
-        expr.name,
-        full_status,
-        sel_status,
-        mk(_majority(full_out)) if any_full else None,
-        mk(_majority(sel_out)) if any_sel else None,
-        selection,
-        sum(iv.length for iv in selection),
-        kept,
-        note=note,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -632,14 +578,6 @@ def _gc_dict(r: GCTestResult | None):
     return d
 
 
-def _gc_from_dict(d) -> GCTestResult | None:
-    if d is None:
-        return None
-    d = dict(d)
-    d["outcome"] = Direction(d["outcome"])
-    return GCTestResult(**d)
-
-
 def report_to_dict(result: PipelineResult) -> dict:
     return {
         "config": {
@@ -684,13 +622,13 @@ def report_from_dict(data: dict) -> tuple[tuple[ConditionReport, ...], tuple[Com
     return reports, occurrence
 
 
-def emit_report(result: PipelineResult, out_dir, formats=("csv", "json")) -> list[Path]:
-    """Write report files; returns the paths written.
+def emit_tables(result: PipelineResult, out_dir, formats=("csv", "json")) -> list[Path]:
+    """Write the report tables; returns the paths written.
 
     ``report.json`` round-trips the full report; ``report.csv`` mirrors the
     per-condition tables with a dominant-direction flag per method;
-    ``occurrence.csv`` is the Wilcoxon/BH table; ``results.jsonl`` carries one
-    record per analyzed cell; ``intervals/`` holds the selected interval sets.
+    ``occurrence.csv`` is the Wilcoxon/BH table. Per-cell files are left
+    alone, so a saved report can be re-emitted into its own run directory.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -721,12 +659,7 @@ def emit_report(result: PipelineResult, out_dir, formats=("csv", "json")) -> lis
                 for method in ("full_span", "interval_selected"):
                     vals = avg[method]
                     record += [repr(vals[k]) for k in OUTCOME_KEYS]
-                    dominant = (
-                        "s_gc_r"
-                        if vals["s_gc_r"] > vals["r_gc_s"]
-                        else "r_gc_s" if vals["r_gc_s"] > vals["s_gc_r"] else ""
-                    )
-                    record.append(dominant)
+                    record.append(_dominant(vals["s_gc_r"], vals["r_gc_s"]))
                 writer.writerow(record)
         written.append(path)
 
@@ -743,7 +676,17 @@ def emit_report(result: PipelineResult, out_dir, formats=("csv", "json")) -> lis
                      repr(row.p_value), repr(row.w_statistic), row.significant_after_bh]
                 )
         written.append(occ)
+    return written
 
+
+def emit_report(result: PipelineResult, out_dir) -> list[Path]:
+    """Write the report tables and the per-cell files; returns the paths written.
+
+    Besides :func:`emit_tables`' files, ``results.jsonl`` carries one record
+    per analyzed cell and ``intervals/`` holds the selected interval sets.
+    """
+    out_dir = Path(out_dir)
+    written = emit_tables(result, out_dir)
     results_path = out_dir / "results.jsonl"
     with results_path.open("w") as fh:
         for c in result.cells:

@@ -2,8 +2,8 @@
 
 Conventions used package-wide:
 
-* signals are uniformly sampled (25 fps recordings by default) and anchored to
-  an absolute frame index via ``start_frame``;
+* signals are uniformly sampled (25 fps recordings; the rate itself is not
+  stored) and anchored to an absolute frame index via ``start_frame``;
 * descriptive statistics use the sample convention (``ddof=1``, see
   :data:`STD_DDOF`); :func:`standardize` is the documented exception and
   divides by the population standard deviation, so a standardized series has
@@ -36,7 +36,6 @@ class TimeSeries:
 
     values: np.ndarray
     start_frame: int = 0
-    frame_rate_hz: float = 25.0
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float, copy=True)
@@ -70,7 +69,7 @@ class TimeSeries:
                 f"[{self.start_frame}, {self.end_frame}]"
             )
         lo = first - self.start_frame
-        return TimeSeries(self.values[lo : lo + (last - first + 1)], first, self.frame_rate_hz)
+        return TimeSeries(self.values[lo : lo + (last - first + 1)], first)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +125,7 @@ def standardize(x: TimeSeries) -> TimeSeries:
     std = float(np.std(x.values))  # population convention, see module docstring
     if std < STD_FLOOR:
         std = 1.0
-    return TimeSeries((x.values - mean) / std, x.start_frame, x.frame_rate_hz)
+    return TimeSeries((x.values - mean) / std, x.start_frame)
 
 
 def pearson(x: TimeSeries, y: TimeSeries) -> float:
@@ -181,5 +180,5 @@ def shift(x: TimeSeries, s: int) -> TimeSeries:
     if s == 0:
         return x
     if s > 0:
-        return TimeSeries(x.values[:-s], x.start_frame + s, x.frame_rate_hz)
-    return TimeSeries(x.values[-s:], x.start_frame, x.frame_rate_hz)
+        return TimeSeries(x.values[:-s], x.start_frame + s)
+    return TimeSeries(x.values[-s:], x.start_frame)

@@ -1,7 +1,7 @@
 """Independent brute-force oracles.
 
 Everything here recomputes results from definitions, along different routes
-than the library (direct per-window corrcoef instead of prefix sums,
+than the library (direct per-window centered sums instead of prefix sums,
 subinterval counting instead of the bottom-up recurrence, exhaustive subset
 search instead of scheduling DP, sign-pattern enumeration instead of the
 counting polynomial), so agreement is meaningful.
@@ -10,6 +10,7 @@ counting polynomial), so agreement is meaningful.
 from itertools import combinations, product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import rankdata
 
 
@@ -21,19 +22,37 @@ def window_corr(xv, yv, a, b) -> float:
     return float(np.clip(np.corrcoef(xs, ys)[0, 1], -1.0, 1.0))
 
 
+def windows_corr(xv, yv, length):
+    """Pearson r of every window of ``length``, two-pass: center each window, then sum.
+
+    Same definition as :func:`window_corr` (a flat window gives r = 0), one
+    window length at a time instead of one ``corrcoef`` call per window.
+    """
+    xw = sliding_window_view(xv, length)
+    yw = sliding_window_view(yv, length)
+    xd = xw - xw.mean(axis=1, keepdims=True)
+    yd = yw - yw.mean(axis=1, keepdims=True)
+    flat = (np.ptp(xw, axis=1) == 0) | (np.ptp(yw, axis=1) == 0)
+    denom = np.sqrt(np.sum(xd * xd, axis=1) * np.sum(yd * yd, axis=1))
+    r = np.sum(xd * yd, axis=1) / np.where(flat, 1.0, denom)
+    return np.where(flat, 0.0, np.clip(r, -1.0, 1.0))
+
+
 def oracle_maximal_intervals(xv, yv, beta, l_min):
     """All maximal correlated intervals straight from the definition.
 
-    Enumerates every interval, counts its bad subintervals (length >= l_min,
-    r < beta) via 2-d cumulative sums of the bad table, and keeps intervals
-    with zero bad subintervals that cannot be extended by one frame.
+    Scores every window directly (:func:`windows_corr`), counts each
+    interval's bad subintervals (length >= l_min, r < beta) via 2-d cumulative
+    sums of the bad table, and keeps intervals with zero bad subintervals that
+    cannot be extended by one frame.
     """
+    xv = np.asarray(xv, dtype=float)
+    yv = np.asarray(yv, dtype=float)
     n = len(xv)
     bad = np.zeros((n, n), dtype=np.int64)
-    for c in range(n):
-        for d in range(c + l_min - 1, n):
-            if window_corr(xv, yv, c, d) < beta:
-                bad[c, d] = 1
+    for length in range(l_min, n + 1):
+        starts = np.arange(n - length + 1)
+        bad[starts, starts + length - 1] = windows_corr(xv, yv, length) < beta
     # right[c, b] = number of bad (c, d) with d <= b
     right = np.cumsum(bad, axis=1)
     # badcount[a, b] = sum over c >= a of right[c, b]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dyadgc.cli import main
-from dyadgc.granger import Direction, f_statistic, fit_var, gc_test, select_order
+from dyadgc.granger import Direction, cap_order, f_statistic, fit_var, gc_test, select_order
 from dyadgc.intervals import (
     IntervalParams,
     correlated_intervals,
@@ -39,9 +39,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def _select_and_test(segs_x, segs_y, alpha=0.05, m_max=12):
-    lens = [len(s) for s in segs_x]
-    while m_max > 1 and sum(max(n - m_max, 0) for n in lens) <= 2 * m_max + 1:
-        m_max -= 1
+    m_max = cap_order([len(s) for s in segs_x], m_max)
     order = select_order(segs_x, segs_y, m_max, "bic")
     return gc_test(segs_x, segs_y, order, alpha)
 

@@ -7,6 +7,7 @@ from dyadgc.granger import (
     Direction,
     average_gc,
     build_design,
+    cap_order,
     classify,
     f_sf,
     f_statistic,
@@ -46,11 +47,15 @@ class TestBuildDesign:
         rng = np.random.default_rng(0)
         segs = [rng.normal(size=30), rng.normal(size=12), rng.normal(size=50)]
         d = build_design(segs, [s + 1 for s in segs], order=4)
-        assert len(d.row_origin) == (30 - 4) + (12 - 4) + (50 - 4)
-        for (seg_idx, t), row in zip(d.row_origin, d.x_lags):
-            # lag window [t - order, t - 1] must sit inside the segment
-            assert t - 4 >= 0
-            np.testing.assert_array_equal(row, [segs[seg_idx][t - j] for j in (1, 2, 3, 4)])
+        # every row, in order: a target of one segment and its lag window
+        # [t - 4, t - 1] inside that same segment
+        want = [
+            (seg[t], [seg[t - j] for j in (1, 2, 3, 4)]) for seg in segs for t in range(4, len(seg))
+        ]
+        assert len(d.x_targets) == len(want) == (30 - 4) + (12 - 4) + (50 - 4)
+        np.testing.assert_array_equal(d.x_targets, [target for target, _ in want])
+        np.testing.assert_array_equal(d.x_lags, [lags for _, lags in want])
+        np.testing.assert_array_equal(d.y_lags, d.x_lags + 1)
 
     def test_splitting_matches_per_segment_rows(self):
         rng = np.random.default_rng(1)
@@ -126,6 +131,26 @@ class TestSelectOrder:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientData):
             select_order([np.zeros(20)], [np.zeros(20)], 12, "bic")
+
+
+class TestCapOrder:
+    def test_largest_supported_order(self):
+        assert cap_order([3000], 12) == 12
+        assert cap_order([20], 12) == 6  # 14 rows > 13, but 13 rows at order 7 are not > 15
+        assert cap_order([4, 4], 12) == 1
+
+    def test_select_order_accepts_the_cap_and_nothing_above(self):
+        rng = np.random.default_rng(7)
+        xs = [rng.normal(size=20), rng.normal(size=9)]
+        ys = [rng.normal(size=20), rng.normal(size=9)]
+        m = cap_order([20, 9], 12)
+        assert 1 <= select_order(xs, ys, m, "bic") <= m
+        with pytest.raises(InsufficientData):
+            select_order(xs, ys, m + 1, "bic")
+
+    def test_too_short(self):
+        with pytest.raises(InsufficientData):
+            cap_order([3, 2], 12)
 
 
 class TestFStatistic:

@@ -51,7 +51,7 @@ class TestIntervalTypes:
     def test_mask_round_trip(self):
         s = IntervalSet((Interval(2, 4), Interval(8, 8)))
         mask = s.coverage_mask(10, 0)
-        assert IntervalSet.from_mask(mask).intervals == s.intervals
+        assert mask.runs() == [(iv.start, iv.end) for iv in s]
 
 
 class TestCorrelatedIntervals:

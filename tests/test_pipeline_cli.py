@@ -1,13 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 
+from dyadgc.au_features import AU_IDS, AURecording
 from dyadgc.cli import main
 from dyadgc.config import AnalysisConfig, dump_config, load_config, with_overrides
 from dyadgc.errors import ConfigError, FormatError
+from dyadgc.intervals import Interval, IntervalSet
 from dyadgc.pipeline import (
     Manifest,
     MethodCounts,
+    analyze_pair_condition,
     emit_report,
     report_from_dict,
     report_to_dict,
@@ -201,6 +205,48 @@ class TestRunPipeline:
                 assert a.sel_result.outcome == b.sel_result.outcome
 
 
+def _pair_with_kept(n, kept, seed=0):
+    """Sender/receiver recordings of ``n`` noisy frames; only ``kept`` frames pass the cutoff."""
+    rng = np.random.default_rng(seed)
+    conf = np.zeros(n)
+    conf[list(kept)] = 1.0
+    return tuple(
+        AURecording(f"p1-{role}", "respectful", role, np.arange(n), conf,
+                    {a: 1.0 + 3.0 * rng.random(n) for a in AU_IDS})
+        for role in ("sender", "receiver")
+    )
+
+
+class TestPerCellPath:
+    @pytest.mark.parametrize("n_kept", [1, 2])
+    def test_tiny_kept_span_is_insufficient(self, n_kept):
+        sender, receiver = _pair_with_kept(200, range(50, 50 + n_kept))
+        cfg = AnalysisConfig(expressions=("happiness_lower",))
+        (cell,) = analyze_pair_condition(sender, receiver, cfg)
+        assert (cell.full_status, cell.sel_status) == ("insufficient", "no_intervals")
+        assert cell.kept_frames == n_kept
+        # per_au: every member-AU full-span test is insufficient, so the cell is
+        # too; the empty AU selections vote "none", as they do on any other cell
+        (cell,) = analyze_pair_condition(
+            sender, receiver, with_overrides(cfg, signal_mode="per_au")
+        )
+        assert (cell.full_status, cell.sel_status) == ("insufficient", "ok")
+
+    def test_no_regression_row_straddles_a_confidence_gap(self):
+        # frames 300..309 fail the confidence cutoff, splitting the selection in two
+        kept = [f for f in range(600) if not 300 <= f <= 309]
+        sender, receiver = _pair_with_kept(600, kept)
+        selection = IntervalSet((Interval(200, 500),))
+        (cell,) = analyze_pair_condition(
+            sender, receiver, AnalysisConfig(expressions=("happiness_upper",)),
+            precomputed={"happiness_upper": selection},
+        )
+        assert cell.sel_status == "ok"
+        order = cell.sel_result.order
+        # pieces [200, 299] and [310, 500]: each loses its first `order` rows
+        assert cell.sel_result.n_effective == (100 - order) + (191 - order)
+
+
 class TestEmitReport:
     def test_json_round_trip(self, result, tmp_path):
         emit_report(result, tmp_path)
@@ -278,6 +324,26 @@ class TestCLI:
             "report", "--results", str(run_dir / "report.json"), "--out", str(re_dir),
         ]) == 0
         assert (re_dir / "report.csv").exists()
+
+    def test_report_into_its_own_run_dir_keeps_cell_files(self, cohort, tmp_path):
+        run_dir = tmp_path / "run"
+        assert main([
+            "pipeline", "--manifest", str(cohort), "--out", str(run_dir),
+            "--expressions", "happiness_lower",
+        ]) == 0
+
+        def contents():
+            return {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+
+        before = contents()
+        assert (run_dir / "results.jsonl").stat().st_size > 0
+        assert list((run_dir / "intervals").glob("*.tsv"))
+        for fmt in ("csv", "json"):
+            assert main([
+                "report", "--results", str(run_dir / "report.json"), "--out", str(run_dir),
+                "--format", fmt,
+            ]) == 0
+        assert contents() == before
 
     def test_intervals_and_granger_subcommands(self, cohort, tmp_path):
         ivdir = tmp_path / "iv"
