@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -31,6 +32,9 @@ from .timeseries import STD_DDOF, BinaryMask
 #: the 17 AUs with intensity regression in OpenFace 2.0 output.
 AU_IDS: tuple[int, ...] = (1, 2, 4, 5, 6, 7, 9, 10, 12, 14, 15, 17, 20, 23, 25, 26, 45)
 
+#: AU id -> its row in :attr:`AURecording.intensities` and :class:`AUBaseline`.
+AU_ROW: Mapping[int, int] = {a: i for i, a in enumerate(AU_IDS)}
+
 CONDITIONS: tuple[str, ...] = ("respectful", "contempt", "objective")
 ROLES: tuple[str, ...] = ("sender", "receiver")
 
@@ -42,12 +46,17 @@ def au_column(au_id: int) -> str:
     return f"AU{au_id:02d}_r"
 
 
+#: the CSV columns ingest reads, in the order of a parsed row.
+_COLUMNS: tuple[str, ...] = ("frame", "confidence", *(au_column(a) for a in AU_IDS))
+
+
 @dataclass(frozen=True, eq=False)
 class AURecording:
     """Per-frame AU intensities and confidence for one participant in one condition.
 
-    Stored columnar: ``frame_indices`` (strictly increasing), ``confidence``
-    and one intensity array per AU, all of equal length.
+    ``frame_indices`` (strictly increasing) and ``confidence`` have one entry
+    per frame; ``intensities`` is a (17, n_frames) matrix whose row i holds
+    AU ``AU_IDS[i]`` (see :data:`AU_ROW`).
     """
 
     participant_id: str
@@ -55,64 +64,53 @@ class AURecording:
     role: str
     frame_indices: np.ndarray
     confidence: np.ndarray
-    intensities: Mapping[int, np.ndarray]
+    intensities: np.ndarray
 
     def __post_init__(self):
         frames = np.array(self.frame_indices, dtype=np.int64, copy=True)
         conf = np.clip(np.array(self.confidence, dtype=float, copy=True), 0.0, 1.0)
+        # C order keeps every AU row contiguous, so row-wise reductions match 1-D ones
+        intens = np.array(self.intensities, dtype=float, order="C", copy=True)
         if frames.ndim != 1 or conf.shape != frames.shape:
             raise ShapeError("frame index and confidence arrays must align")
+        if intens.shape != (len(AU_IDS), len(frames)):
+            raise ShapeError(f"intensities must be a {len(AU_IDS)} x n_frames matrix")
         if len(frames) and np.any(np.diff(frames) <= 0):
             raise ShapeError("frame indices must be strictly increasing")
         if self.condition and self.condition not in CONDITIONS:
             raise ConfigError(f"unknown condition {self.condition!r}")
         if self.role and self.role not in ROLES:
             raise ConfigError(f"unknown role {self.role!r}")
-        clean: dict[int, np.ndarray] = {}
-        for au_id, vals in self.intensities.items():
-            arr = np.clip(np.array(vals, dtype=float, copy=True), 0.0, INTENSITY_MAX)
-            if arr.shape != frames.shape:
-                raise ShapeError(f"AU{au_id:02d} intensity array misaligned")
+        np.clip(intens, 0.0, INTENSITY_MAX, out=intens)
+        for arr in (frames, conf, intens):
             arr.setflags(write=False)
-            clean[int(au_id)] = arr
-        frames.setflags(write=False)
-        conf.setflags(write=False)
         object.__setattr__(self, "frame_indices", frames)
         object.__setattr__(self, "confidence", conf)
-        object.__setattr__(self, "intensities", clean)
+        object.__setattr__(self, "intensities", intens)
 
     @property
     def n_frames(self) -> int:
         return len(self.frame_indices)
 
-    @property
-    def au_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.intensities))
-
-    def is_contiguous(self) -> bool:
-        if self.n_frames <= 1:
-            return True
-        return bool(np.all(np.diff(self.frame_indices) == 1))
-
     def restrict(self, keep: np.ndarray) -> "AURecording":
-        """Recording limited to the rows selected by a boolean or index array."""
+        """Recording limited to the frames selected by a boolean or index array."""
         return AURecording(
             self.participant_id,
             self.condition,
             self.role,
             self.frame_indices[keep],
             self.confidence[keep],
-            {au: vals[keep] for au, vals in self.intensities.items()},
+            self.intensities[:, keep],
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AUBaseline:
-    """Per-AU mean/std for one participant, pooled over the provided conditions."""
+    """Per-AU mean/std (in :data:`AU_IDS` order) for one participant, pooled over conditions."""
 
     participant_id: str
-    mean: Mapping[int, float]
-    std: Mapping[int, float]
+    mean: np.ndarray
+    std: np.ndarray
     n_conditions: int
 
     @property
@@ -182,7 +180,8 @@ def parse_au_csv(
 
     Required columns (whitespace around header names is tolerated): ``frame``,
     ``confidence``, and ``AUxx_r`` for each of the 17 regression AUs. Extra
-    columns are ignored.
+    columns are ignored. A value that does not parse, is NaN or infinite, or
+    a frame outside int64 raises :class:`FormatError` naming the CSV row.
     """
     path = Path(path)
     try:
@@ -209,33 +208,41 @@ def _parse_au_stream(fh, source: str, participant_id, condition, role) -> AUReco
     except StopIteration:
         raise FormatError(f"{source}: empty file") from None
     names = [h.strip() for h in header]
-    required = ["frame", "confidence"] + [au_column(a) for a in AU_IDS]
-    col_of: dict[str, int] = {}
-    for name in required:
+    for name in _COLUMNS:
         if name not in names:
             raise FormatError(f"{source}: missing required column {name!r}")
-        col_of[name] = names.index(name)
+    pick = operator.itemgetter(*(names.index(name) for name in _COLUMNS))
 
-    frames, conf = [], []
-    aus: dict[int, list[float]] = {a: [] for a in AU_IDS}
+    # one flat list of floats: a list per row would hold a list object per frame
+    values: list[float] = []
+    blanks: list[int] = []  # number of rows read when each blank line was skipped
     for row_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
+        if not any(map(str.strip, row)):
+            blanks.append(len(values) // len(_COLUMNS))
             continue
         try:
-            frames.append(int(float(row[col_of["frame"]])))
-            conf.append(float(row[col_of["confidence"]]))
-            for a in AU_IDS:
-                aus[a].append(float(row[col_of[au_column(a)]]))
+            values.extend(map(float, pick(row)))
         except (ValueError, IndexError) as exc:
             raise FormatError(f"{source}: bad value in row {row_no}: {exc}") from exc
+    table = np.array(values, dtype=float).reshape(-1, len(_COLUMNS))
+    del values
+
+    bad = ~np.isfinite(table)
+    bad[:, 0] |= np.abs(table[:, 0]) >= 2.0**63  # frame outside int64
+    if bad.any():
+        k, col = (int(i) for i in np.argwhere(bad)[0])
+        row_no = k + 2 + sum(b <= k for b in blanks)
+        raise FormatError(
+            f"{source}: bad value in row {row_no}: {_COLUMNS[col]} is {float(table[k, col])}"
+        )
     try:
         return AURecording(
             participant_id,
             condition,
             role,
-            np.asarray(frames, dtype=np.int64),
-            np.asarray(conf, dtype=float),
-            {a: np.asarray(v, dtype=float) for a, v in aus.items()},
+            table[:, 0].astype(np.int64),
+            table[:, 1],
+            table[:, 2:].T,
         )
     except ShapeError as exc:
         raise FormatError(f"{source}: {exc}") from exc
@@ -243,19 +250,13 @@ def _parse_au_stream(fh, source: str, participant_id, condition, role) -> AUReco
 
 def write_au_csv(path, rec: AURecording) -> None:
     """Write a recording in the CSV layout accepted by :func:`parse_au_csv`."""
-    path = Path(path)
-    cols = [au_column(a) for a in AU_IDS]
-    with path.open("w", newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["frame", "confidence", *cols])
-        for i in range(rec.n_frames):
-            writer.writerow(
-                [
-                    int(rec.frame_indices[i]),
-                    repr(float(rec.confidence[i])),
-                    *(repr(float(rec.intensities[a][i])) for a in AU_IDS),
-                ]
-            )
+        writer.writerow(_COLUMNS)
+        for frame, conf, values in zip(
+            rec.frame_indices.tolist(), rec.confidence.tolist(), rec.intensities.T.tolist()
+        ):
+            writer.writerow([frame, conf, *values])
 
 
 def confidence_sync(s: AURecording, r: AURecording, threshold: float = 0.89) -> SyncedPair:
@@ -298,36 +299,27 @@ def baseline_stats(recordings: Iterable[AURecording]) -> AUBaseline:
     if not recs or sum(r.n_frames for r in recs) == 0:
         raise DegenerateSeries("baseline needs at least one frame")
     pid = recs[0].participant_id
-    au_ids = recs[0].au_ids
-    for rec in recs[1:]:
-        if rec.participant_id != pid:
-            raise ConfigError("baseline must pool conditions of a single participant")
-        if rec.au_ids != au_ids:
-            raise ConfigError("recordings carry different AU sets")
-    mean: dict[int, float] = {}
-    std: dict[int, float] = {}
-    for a in au_ids:
-        pooled = np.concatenate([rec.intensities[a] for rec in recs])
-        mean[a] = float(pooled.mean())
-        std[a] = float(pooled.std(ddof=STD_DDOF)) if pooled.size > 1 else 0.0
-    return AUBaseline(pid, mean, std, n_conditions=len({r.condition for r in recs}))
+    if any(rec.participant_id != pid for rec in recs[1:]):
+        raise ConfigError("baseline must pool conditions of a single participant")
+    pooled = np.concatenate([rec.intensities for rec in recs], axis=1)
+    if pooled.shape[1] > 1:
+        std = pooled.std(axis=1, ddof=STD_DDOF)
+    else:
+        std = np.zeros(len(AU_IDS))
+    return AUBaseline(
+        pid, pooled.mean(axis=1), std, n_conditions=len({r.condition for r in recs})
+    )
 
 
 def au_activation(
     rec: AURecording, base: AUBaseline, factor: float = 0.5
 ) -> dict[int, BinaryMask]:
     """Per-AU activation masks: frame k is active iff intensity >= mean + factor * std."""
-    missing = set(rec.au_ids) - set(base.mean)
-    if missing:
-        raise ConfigError(f"baseline lacks AUs {sorted(missing)}")
-    if not rec.is_contiguous():
+    if np.any(np.diff(rec.frame_indices) != 1):
         raise ShapeError("activation masks need a gap-free recording")
     start = int(rec.frame_indices[0]) if rec.n_frames else 0
-    out = {}
-    for a in rec.au_ids:
-        threshold = base.mean[a] + factor * base.std[a]
-        out[a] = BinaryMask(rec.intensities[a] >= threshold, start)
-    return out
+    active = rec.intensities >= (base.mean + factor * base.std)[:, None]
+    return {a: BinaryMask(bits, start) for a, bits in zip(AU_IDS, active)}
 
 
 def expression_activation(act: Mapping[int, BinaryMask], expr: ExpressionDef) -> BinaryMask:
@@ -351,10 +343,10 @@ def expression_signal(rec: AURecording, expr: ExpressionDef) -> np.ndarray:
     The values align with ``rec.frame_indices``, so a synced recording's
     confidence gaps carry over unchanged.
     """
-    missing = expr.au_ids - set(rec.au_ids)
+    missing = expr.au_ids - set(AU_IDS)
     if missing:
-        raise ConfigError(f"{expr.name}: recording lacks AUs {sorted(missing)}")
-    return np.vstack([rec.intensities[a] for a in sorted(expr.au_ids)]).mean(axis=0)
+        raise ConfigError(f"{expr.name}: OpenFace records no intensity for AUs {sorted(missing)}")
+    return rec.intensities[[AU_ROW[a] for a in sorted(expr.au_ids)]].mean(axis=0)
 
 
 def count_activations(mask: BinaryMask, video_len: int) -> float:

@@ -126,6 +126,7 @@ def _cmd_granger(args) -> int:
         for c in result.cells:
             status = c.full_status if args.full_span else c.sel_status
             gc = c.full_result if args.full_span else c.sel_result
+            outcome = c.full_outcome if args.full_span else c.sel_outcome
             fh.write(json.dumps({
                 "pair_id": c.pair_id,
                 "condition": c.condition,
@@ -138,7 +139,7 @@ def _cmd_granger(args) -> int:
                 "p_x_causes_y": None if gc is None else gc.p_x_causes_y,
                 "order": None if gc is None else gc.order,
                 "n_effective": None if gc is None else gc.n_effective,
-                "outcome": None if gc is None else gc.outcome.value,
+                "outcome": None if outcome is None else outcome.value,
             }, sort_keys=True) + "\n")
     print(f"wrote {path} ({side} span, {len(result.cells)} cells)")
     return EXIT_OK

@@ -31,6 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .au_features import (
+    AU_IDS,
+    AU_ROW,
     AURecording,
     AUBaseline,
     CONDITIONS,
@@ -204,8 +206,10 @@ class CellRecord:
     expression: str
     full_status: str  # ok | degenerate | insufficient | skipped
     sel_status: str  # ok | no_intervals | degenerate | insufficient | skipped
-    full_result: GCTestResult | None
+    full_result: GCTestResult | None  # None for per_au cells, which vote
     sel_result: GCTestResult | None
+    full_outcome: Direction | None  # set exactly when the status is ok
+    sel_outcome: Direction | None
     intervals: IntervalSet
     selected_frames: int
     kept_frames: int
@@ -260,8 +264,6 @@ def _mine_expression(
                 candidates.append(iv)
         mined = longest_set(candidates)  # runs are disjoint; this just re-sorts
         per_au[au_id] = postprocess(mined, params, end - start + 1, start)
-    if not per_au:
-        return per_au, IntervalSet()
     return per_au, intersect_sets(list(per_au.values()))
 
 
@@ -326,12 +328,15 @@ def _majority(outcomes: list[Direction]) -> Direction:
     return leaders[0] if len(leaders) == 1 else Direction.NONE
 
 
-def _vote(tests, alpha: float) -> tuple[str, GCTestResult | None, int]:
+def _vote(tests) -> tuple[str, Direction | None, int]:
     """Majority outcome over member-AU (status, result) pairs, and the vote count.
 
-    An AU without intervals votes "none". With no vote the cell is
-    ``insufficient`` when every AU test was, else ``degenerate``.
+    An AU without intervals votes "none", unless no AU has any: then the cell
+    has ``no_intervals``. With no vote the cell is ``insufficient`` when every
+    AU test was, else ``degenerate``.
     """
+    if all(status == "no_intervals" for status, _ in tests):
+        return "no_intervals", None, 0
     votes = [
         result.outcome if status == "ok" else Direction.NONE
         for status, result in tests
@@ -340,8 +345,7 @@ def _vote(tests, alpha: float) -> tuple[str, GCTestResult | None, int]:
     if not votes:
         failed = all(status == "insufficient" for status, _ in tests)
         return ("insufficient" if failed else "degenerate"), None, 0
-    nan = float("nan")
-    return "ok", GCTestResult(nan, nan, nan, nan, alpha, 0, 0, _majority(votes)), len(votes)
+    return "ok", _majority(votes), len(votes)
 
 
 def analyze_pair_condition(
@@ -365,7 +369,7 @@ def analyze_pair_condition(
     except EmptyOverlap as exc:
         return [
             CellRecord(
-                pair_id, condition, name, "skipped", "skipped", None, None,
+                pair_id, condition, name, "skipped", "skipped", None, None, None, None,
                 IntervalSet(), 0, 0, note=str(exc),
             )
             for name in config.expressions
@@ -378,10 +382,10 @@ def analyze_pair_condition(
         expr = EXPRESSIONS_BY_NAME.get(name)
         if expr is None:
             raise ConfigError(f"unknown expression {name!r}")
-        if not expr.available_in(sender.au_ids) or not expr.available_in(receiver.au_ids):
+        if not expr.available_in(AU_IDS):
             cells.append(
                 CellRecord(
-                    pair_id, condition, name, "skipped", "skipped", None, None,
+                    pair_id, condition, name, "skipped", "skipped", None, None, None, None,
                     IntervalSet(), 0, kept, note="member AUs not present in recording",
                 )
             )
@@ -391,7 +395,7 @@ def analyze_pair_condition(
         aus = sorted(expr.au_ids)
         runs_per_au = {
             au: _kept_run_signals(
-                pair, pair.sender.intensities[au], pair.receiver.intensities[au]
+                pair, pair.sender.intensities[AU_ROW[au]], pair.receiver.intensities[AU_ROW[au]]
             )
             for au in aus
         }
@@ -404,8 +408,9 @@ def analyze_pair_condition(
         note = ""
         if config.signal_mode == "per_au":
             tests = [_test_signal(runs_per_au[au], per_au_sets[au], config) for au in aus]
-            full_status, full_result, n_full = _vote([f for f, _ in tests], config.alpha)
-            sel_status, sel_result, n_sel = _vote([s for _, s in tests], config.alpha)
+            full_status, full_outcome, n_full = _vote([f for f, _ in tests])
+            sel_status, sel_outcome, n_sel = _vote([s for _, s in tests])
+            full_result = sel_result = None
             note = f"per_au majority over {n_full} full / {n_sel} selected AU tests"
         else:
             runs = _kept_run_signals(
@@ -414,6 +419,8 @@ def analyze_pair_condition(
             (full_status, full_result), (sel_status, sel_result) = _test_signal(
                 runs, selection, config
             )
+            full_outcome = None if full_result is None else full_result.outcome
+            sel_outcome = None if sel_result is None else sel_result.outcome
         cells.append(
             CellRecord(
                 pair_id,
@@ -423,6 +430,8 @@ def analyze_pair_condition(
                 sel_status,
                 full_result,
                 sel_result,
+                full_outcome,
+                sel_outcome,
                 selection,
                 sum(iv.length for iv in selection),
                 kept,
@@ -465,19 +474,15 @@ def run_pipeline(
     baselines: dict[tuple[str, str], AUBaseline] = {}
     for pair_id in manifest.pair_ids():
         for role in ROLES:
-            recs = [
-                recordings[(pair_id, role, cond)]
-                for cond in manifest.conditions_of(pair_id)
-                if (pair_id, role, cond) in recordings
-            ]
-            if recs:
-                base = baseline_stats(recs)
-                if not base.complete:
-                    log.warning(
-                        "%s-%s: baseline pooled over %d condition(s) only",
-                        pair_id, role, base.n_conditions,
-                    )
-                baselines[(pair_id, role)] = base
+            # the manifest holds both roles of every (pair, condition) it lists
+            recs = [recordings[(pair_id, role, c)] for c in manifest.conditions_of(pair_id)]
+            base = baseline_stats(recs)
+            if not base.complete:
+                log.warning(
+                    "%s-%s: baseline pooled over %d condition(s) only",
+                    pair_id, role, base.n_conditions,
+                )
+            baselines[(pair_id, role)] = base
 
     occurrence = _occurrence_rows(manifest, recordings, baselines, config)
 
@@ -512,10 +517,7 @@ def run_pipeline(
 
 def _occurrence_rows(manifest, recordings, baselines, config) -> tuple[ComparisonRow, ...]:
     """Normalized activation counts per participant, then Wilcoxon + BH."""
-    computable = [
-        e for e in EXPRESSIONS
-        if all(e.available_in(rec.au_ids) for rec in recordings.values())
-    ]
+    computable = [e for e in EXPRESSIONS if e.available_in(AU_IDS)]
     raw: dict[str, dict[str, dict[str, float]]] = {}
     for (pair_id, role, cond), rec in sorted(recordings.items()):
         base = baselines[(pair_id, role)]
@@ -554,9 +556,9 @@ def _assemble_reports(cells) -> tuple[ConditionReport, ...]:
             sel = {k: 0 for k in OUTCOME_KEYS}
             for c in sub:
                 if c.full_status == "ok":
-                    full[_OUTCOME_OF[c.full_result.outcome]] += 1
+                    full[_OUTCOME_OF[c.full_outcome]] += 1
                 if c.sel_status == "ok":
-                    sel[_OUTCOME_OF[c.sel_result.outcome]] += 1
+                    sel[_OUTCOME_OF[c.sel_outcome]] += 1
                 elif c.sel_status == "no_intervals":
                     sel["none"] += 1
             rows.append(
@@ -570,12 +572,11 @@ def _assemble_reports(cells) -> tuple[ConditionReport, ...]:
 # serialization
 
 
-def _gc_dict(r: GCTestResult | None):
+def _gc_dict(r: GCTestResult | None, outcome: Direction | None):
+    """A cell's test record; a per_au cell, which only votes, records just its outcome."""
     if r is None:
-        return None
-    d = asdict(r)
-    d["outcome"] = r.outcome.value
-    return d
+        return None if outcome is None else {"outcome": outcome.value}
+    return dict(asdict(r), outcome=r.outcome.value)
 
 
 def report_to_dict(result: PipelineResult) -> dict:
@@ -698,8 +699,8 @@ def emit_report(result: PipelineResult, out_dir) -> list[Path]:
                         "expression": c.expression,
                         "full_status": c.full_status,
                         "sel_status": c.sel_status,
-                        "full_result": _gc_dict(c.full_result),
-                        "sel_result": _gc_dict(c.sel_result),
+                        "full_result": _gc_dict(c.full_result, c.full_outcome),
+                        "sel_result": _gc_dict(c.sel_result, c.sel_outcome),
                         "selected_frames": c.selected_frames,
                         "kept_frames": c.kept_frames,
                         "intervals": [[iv.start, iv.end, iv.shift] for iv in c.intervals],

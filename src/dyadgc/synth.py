@@ -21,6 +21,7 @@ import numpy as np
 
 from .au_features import (
     AU_IDS,
+    AU_ROW,
     AURecording,
     CONDITIONS,
     EXPRESSIONS_BY_NAME,
@@ -202,8 +203,8 @@ def gen_au_fixture(
     n = lengths.pop() if lengths else 3000
 
     idle = lambda: np.abs(rng.normal(0.3, idle_noise_std, n))
-    sender_intens = {a: idle() for a in AU_IDS}
-    receiver_intens = {a: idle() for a in AU_IDS}
+    sender_intens = np.array([idle() for _ in AU_IDS])
+    receiver_intens = np.array([idle() for _ in AU_IDS])
 
     truths = []
     for name, spec in expr_specs.items():
@@ -237,8 +238,8 @@ def gen_au_fixture(
                 + swing * (ys * env + rng.normal(size=n) * fade)
                 + rng.normal(0.0, jitter, n)
             )
-            sender_intens[a] = _clip_intensity(s_trace, f"AU{a:02d}")
-            receiver_intens[a] = _clip_intensity(r_trace, f"AU{a:02d}")
+            sender_intens[AU_ROW[a]] = _clip_intensity(s_trace, f"AU{a:02d}")
+            receiver_intens[AU_ROW[a]] = _clip_intensity(r_trace, f"AU{a:02d}")
         truths.append(FixtureTruth(name, spec, tuple(low_conf_frames)))
 
     frames = np.arange(1, n + 1, dtype=np.int64)

@@ -6,6 +6,7 @@ import pytest
 
 from dyadgc.au_features import (
     AU_IDS,
+    AU_ROW,
     AURecording,
     EXPRESSIONS,
     EXPRESSIONS_BY_NAME,
@@ -31,10 +32,9 @@ def make_recording(n=20, pid="p1", condition="respectful", role="sender",
                    confidence=None, au_values=None, start=1):
     frames = np.arange(start, start + n)
     conf = np.ones(n) if confidence is None else np.asarray(confidence, dtype=float)
-    intens = {a: np.full(n, 0.5) for a in AU_IDS}
-    if au_values:
-        for a, vals in au_values.items():
-            intens[a] = np.asarray(vals, dtype=float)
+    intens = np.full((len(AU_IDS), n), 0.5)
+    for a, vals in (au_values or {}).items():
+        intens[AU_ROW[a]] = vals
     return AURecording(pid, condition, role, frames, conf, intens)
 
 
@@ -55,7 +55,7 @@ class TestParse:
             vals[6] = v
             rows.append([i + 1, 0.99] + [vals[a] for a in AU_IDS])
         rec = parse_au_text(csv_text(rows))
-        np.testing.assert_allclose(rec.intensities[6], [0.0, 1.0, 2.0])
+        np.testing.assert_allclose(rec.intensities[AU_ROW[6]], [0.0, 1.0, 2.0])
         assert rec.n_frames == 3
 
     def test_missing_confidence_column(self):
@@ -79,7 +79,7 @@ class TestParse:
         header = ["frame", "confidence", "pose_Rx"] + [au_column(a) for a in AU_IDS]
         text = csv_text([[1, 0.9, 123.4] + [0.3] * len(AU_IDS)], header=header)
         rec = parse_au_text(text)
-        assert rec.intensities[45][0] == pytest.approx(0.3)
+        assert rec.intensities[AU_ROW[45], 0] == pytest.approx(0.3)
 
     def test_round_trip_large_file(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -88,15 +88,55 @@ class TestParse:
             "p9", "contempt", "receiver",
             np.arange(1, n + 1),
             rng.random(n),
-            {a: rng.random(n) * 5 for a in AU_IDS},
+            rng.random((len(AU_IDS), n)) * 5,
         )
         path = tmp_path / "rec.csv"
         write_au_csv(path, rec)
         again = parse_au_csv(path, "p9", "contempt", "receiver")
         np.testing.assert_array_equal(again.frame_indices, rec.frame_indices)
         np.testing.assert_array_equal(again.confidence, rec.confidence)
-        for a in AU_IDS:
-            np.testing.assert_array_equal(again.intensities[a], rec.intensities[a])
+        np.testing.assert_array_equal(again.intensities, rec.intensities)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("frame", "inf"),
+            ("frame", "1e30"),
+            ("confidence", "nan"),
+            ("AU05_r", "nan"),
+            ("AU12_r", "nan"),
+            ("AU06_r", "inf"),
+        ],
+    )
+    def test_unusable_value_reports_row(self, column, value):
+        header = ["frame", "confidence"] + [au_column(a) for a in AU_IDS]
+        rows = [[f, 0.99] + [0.5] * len(AU_IDS) for f in (1, 2, 3)]
+        rows[1][header.index(column)] = value
+        with pytest.raises(FormatError, match=f"row 3: {column} is "):
+            parse_au_text(csv_text(rows, header=header))
+
+    def test_columns_mapped_by_name(self):
+        rng = np.random.default_rng(7)
+        n = 6
+        intens = rng.random((len(AU_IDS), n)) * 5
+        conf = rng.random(n)
+        header = ["confidence", "pose_Rx"] + [au_column(a) for a in reversed(AU_IDS)] + ["frame"]
+        lines = [",".join(header)]
+        for k in range(n):
+            values = [conf[k], -1.0, *intens[::-1, k], k + 1]
+            lines.append(",".join(repr(float(v)) for v in values))
+        lines.insert(4, "")  # a blank line between the third and fourth frame
+        rec = parse_au_text("\n".join(lines) + "\n")
+        np.testing.assert_array_equal(rec.intensities, intens)
+        np.testing.assert_array_equal(rec.confidence, conf)
+        np.testing.assert_array_equal(rec.frame_indices, np.arange(1, n + 1))
+
+        # the fifth frame sits on CSV row 7, one below its place without the blank
+        cells = lines[6].split(",")
+        cells[header.index("AU12_r")] = "nan"
+        lines[6] = ",".join(cells)
+        with pytest.raises(FormatError, match="row 7: AU12_r is nan"):
+            parse_au_text("\n".join(lines) + "\n")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
@@ -187,15 +227,27 @@ class TestBaseline:
             for c in ("respectful", "contempt", "objective")
         ]
         base = baseline_stats(recs)
-        assert base.mean[6] == 2.0
-        assert base.std[6] == 0.0
+        assert base.mean[AU_ROW[6]] == 2.0
+        assert base.std[AU_ROW[6]] == 0.0
         assert base.complete
 
     def test_pooled_sample_std(self):
         rec = make_recording(4, au_values={6: [0.0, 0.0, 4.0, 4.0]})
         base = baseline_stats([rec])
-        assert base.mean[6] == 2.0
-        assert base.std[6] == pytest.approx(np.std([0, 0, 4, 4], ddof=1))
+        assert base.mean[AU_ROW[6]] == 2.0
+        assert base.std[AU_ROW[6]] == pytest.approx(np.std([0, 0, 4, 4], ddof=1))
+
+    def test_rows_equal_per_au_reduction(self):
+        rng = np.random.default_rng(8)
+        recs = [
+            make_recording(n, condition=c, au_values={a: rng.random(n) * 5 for a in AU_IDS})
+            for n, c in ((37, "respectful"), (1, "contempt"), (250, "objective"))
+        ]
+        base = baseline_stats(recs)
+        for a in AU_IDS:
+            pooled = np.concatenate([rec.intensities[AU_ROW[a]] for rec in recs])
+            assert base.mean[AU_ROW[a]] == pooled.mean()
+            assert base.std[AU_ROW[a]] == pooled.std(ddof=1)
 
     def test_single_condition_flagged(self):
         base = baseline_stats([make_recording(10)])
@@ -223,7 +275,7 @@ class TestActivation:
         base_rec = make_recording(40, au_values={6: list(np.tile([-1, 3], 20))})
         base = baseline_stats([base_rec])
         # mean 1, std ~2.0254: threshold slightly above 2.0 at factor 0.5
-        thr = base.mean[6] + 0.5 * base.std[6]
+        thr = base.mean[AU_ROW[6]] + 0.5 * base.std[AU_ROW[6]]
         masks = au_activation(rec, base)
         np.testing.assert_array_equal(masks[6].bits, np.array([1.9, 2.0]) >= thr)
 
@@ -295,7 +347,7 @@ class TestExpressionSignal:
         rec = rec.restrict(np.r_[0:20, 35:60])
         expr = EXPRESSIONS_BY_NAME["disgust_lower"]
         sig = expression_signal(rec, expr)
-        want = np.mean([rec.intensities[a] for a in sorted(expr.au_ids)], axis=0)
+        want = np.mean([rec.intensities[AU_ROW[a]] for a in sorted(expr.au_ids)], axis=0)
         np.testing.assert_allclose(sig, want)
         assert sig.shape == rec.frame_indices.shape
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dyadgc.au_features import AU_IDS, AURecording
+from dyadgc.au_features import AU_IDS, AURecording, write_au_csv
 from dyadgc.cli import main
 from dyadgc.config import AnalysisConfig, dump_config, load_config, with_overrides
 from dyadgc.errors import ConfigError, FormatError
@@ -212,7 +212,7 @@ def _pair_with_kept(n, kept, seed=0):
     conf[list(kept)] = 1.0
     return tuple(
         AURecording(f"p1-{role}", "respectful", role, np.arange(n), conf,
-                    {a: 1.0 + 3.0 * rng.random(n) for a in AU_IDS})
+                    1.0 + 3.0 * rng.random((len(AU_IDS), n)))
         for role in ("sender", "receiver")
     )
 
@@ -226,11 +226,12 @@ class TestPerCellPath:
         assert (cell.full_status, cell.sel_status) == ("insufficient", "no_intervals")
         assert cell.kept_frames == n_kept
         # per_au: every member-AU full-span test is insufficient, so the cell is
-        # too; the empty AU selections vote "none", as they do on any other cell
+        # too; no member AU has an interval, so the cell has none either
         (cell,) = analyze_pair_condition(
             sender, receiver, with_overrides(cfg, signal_mode="per_au")
         )
-        assert (cell.full_status, cell.sel_status) == ("insufficient", "ok")
+        assert (cell.full_status, cell.sel_status) == ("insufficient", "no_intervals")
+        assert (cell.full_outcome, cell.sel_outcome) == (None, None)
 
     def test_no_regression_row_straddles_a_confidence_gap(self):
         # frames 300..309 fail the confidence cutoff, splitting the selection in two
@@ -274,6 +275,27 @@ class TestEmitReport:
         assert header.startswith("condition,expression,full_span_s_gc_r")
         assert (tmp_path / "intervals").is_dir()
 
+    def test_per_au_results_jsonl_is_strict_json(self, cohort, tmp_path):
+        cfg = AnalysisConfig(signal_mode="per_au", expressions=("happiness_lower",))
+        result = run_pipeline(Manifest.load(cohort), cfg)
+        emit_report(result, tmp_path)
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        records = [
+            json.loads(line, parse_constant=reject)
+            for line in (tmp_path / "results.jsonl").read_text().splitlines()
+        ]
+        assert any(rec["sel_status"] == "ok" for rec in records)
+        for rec, cell in zip(records, result.cells):
+            # a per_au cell votes: it records its majority outcome and no test numbers
+            assert (cell.full_result, cell.sel_result) == (None, None)
+            for side, outcome in (("full", cell.full_outcome), ("sel", cell.sel_outcome)):
+                want = None if outcome is None else {"outcome": outcome.value}
+                assert rec[f"{side}_result"] == want
+                assert (outcome is not None) == (rec[f"{side}_status"] == "ok")
+
     def test_results_jsonl_parses(self, result, tmp_path):
         emit_report(result, tmp_path)
         lines = (tmp_path / "results.jsonl").read_text().splitlines()
@@ -305,6 +327,24 @@ class TestCLI:
             "a,sender,contempt,missing.csv\na,receiver,contempt,missing2.csv\n"
         )
         assert main(["pipeline", "--manifest", str(bad2), "--out", str(tmp_path / "o")]) == 2
+
+    def test_ingest_rejects_a_nan_cell(self, tmp_path, capsys):
+        rows = ["pair_id,role,condition,path"]
+        for rec in _pair_with_kept(10, range(10)):
+            path = tmp_path / f"{rec.role}.csv"
+            write_au_csv(path, rec)
+            rows.append(f"p1,{rec.role},respectful,{path.name}")
+        lines = (tmp_path / "receiver.csv").read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[-1] = "nan"  # AU45_r of the fourth frame, CSV row 5
+        lines[4] = ",".join(cells)
+        (tmp_path / "receiver.csv").write_text("\n".join(lines) + "\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(rows) + "\n")
+        assert main(["ingest", "--manifest", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert "manifest valid" not in captured.out
+        assert "receiver.csv: bad value in row 5: AU45_r is nan" in captured.err
 
     def test_ingest_and_pipeline_and_report(self, cohort, tmp_path, capsys):
         assert main(["ingest", "--manifest", str(cohort)]) == 0
