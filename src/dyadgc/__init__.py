@@ -25,7 +25,6 @@ from .config import AnalysisConfig, load_config
 from .errors import (
     AnalysisError,
     ConfigError,
-    DegenerateSample,
     DegenerateSeries,
     EmptyInput,
     EmptyOverlap,

@@ -314,11 +314,14 @@ def baseline_stats(recordings: Iterable[AURecording]) -> AUBaseline:
 def au_activation(
     rec: AURecording, base: AUBaseline, factor: float = 0.5
 ) -> dict[int, BinaryMask]:
-    """Per-AU activation masks: frame k is active iff intensity >= mean + factor * std."""
-    if np.any(np.diff(rec.frame_indices) != 1):
-        raise ShapeError("activation masks need a gap-free recording")
-    start = int(rec.frame_indices[0]) if rec.n_frames else 0
-    active = rec.intensities >= (base.mean + factor * base.std)[:, None]
+    """Per-AU activation masks: frame k is active iff intensity >= mean + factor * std.
+
+    Each mask spans the recording's first to last frame; missing frames are inactive.
+    """
+    frames = rec.frame_indices
+    start = int(frames[0]) if rec.n_frames else 0
+    active = np.zeros((len(AU_IDS), int(frames[-1]) + 1 - start if rec.n_frames else 0), bool)
+    active[:, frames - start] = rec.intensities >= (base.mean + factor * base.std)[:, None]
     return {a: BinaryMask(bits, start) for a, bits in zip(AU_IDS, active)}
 
 
@@ -350,7 +353,7 @@ def expression_signal(rec: AURecording, expr: ExpressionDef) -> np.ndarray:
 
 
 def count_activations(mask: BinaryMask, video_len: int) -> float:
-    """Active-frame count normalized by video length.
+    """Active-frame count normalized by video length (the frames present).
 
     The second normalization stage (dividing by the per-expression maximum
     across the cohort) happens at report time, where the whole cohort is

@@ -84,7 +84,10 @@ def _cmd_ingest(args) -> int:
     for row in manifest.rows:
         rec = parse_au_csv(row.path, f"{row.pair_id}-{row.role}", row.condition, row.role)
         n_frames += rec.n_frames
-        print(f"ok {row.pair_id} {row.role} {row.condition}: {rec.n_frames} frames")
+        idx = rec.frame_indices
+        gaps = int((idx[1:] - idx[:-1] > 1).sum())
+        note = f", {int(idx[-1] - idx[0]) + 1 - len(idx)} missing in {gaps} gap(s)" if gaps else ""
+        print(f"ok {row.pair_id} {row.role} {row.condition}: {rec.n_frames} frames{note}")
     print(f"manifest valid: {len(manifest.rows)} recordings, {n_frames} frames total")
     return EXIT_OK
 

@@ -33,9 +33,5 @@ class SingularDesign(AnalysisError):
     """Regression design is degenerate (for example a constant segment)."""
 
 
-class DegenerateSample(AnalysisError):
-    """Paired sample whose differences are all zero."""
-
-
 class EmptyInput(AnalysisError):
     """An aggregation was called with nothing to aggregate."""

@@ -10,8 +10,9 @@ largest total coverage.
 The miner builds correlated intervals bottom-up: an interval of length
 ``l + 1`` is correlated iff both of its length-``l`` subintervals are
 correlated and its own correlation clears the threshold. By induction this is
-exactly the all-subintervals definition, while costing O(n) vectorized work
-per length level instead of enumerating subintervals.
+exactly the all-subintervals definition. Length ``l + 1`` is evaluated only
+inside the runs of starts valid at length ``l``, so a level costs vectorized
+work in proportion to the starts still valid, not to the series length.
 
 All interval coordinates are absolute frame indices (closed intervals), so
 results from different shifts, runs, and action units can be pooled directly.
@@ -135,26 +136,25 @@ class IntervalSet:
         return cls(tuple(out))
 
 
-def _sliding_r(csum, length: int):
-    """Pearson r of every window of ``length`` from prefix sums of centered data.
+def _valid_starts(csum, length: int, beta: float, a: int, b: int) -> np.ndarray:
+    """Whether each window of ``length`` starting at ``a .. b - 1`` has r >= ``beta``.
 
     ``csum`` is the tuple (cx, cy, cxx, cyy, cxy, flat_tol) with prefix arrays
-    of size n + 1. Windows whose variance falls under the flatness tolerance
-    are reported as r = 0.
+    of size n + 1. A window whose variance falls under the flatness tolerance
+    has r = 0, so it never clears a threshold in (0, 1].
     """
     cx, cy, cxx, cyy, cxy, tol = csum
     l = length
-    sx = cx[l:] - cx[:-l]
-    sy = cy[l:] - cy[:-l]
-    sxx = cxx[l:] - cxx[:-l]
-    syy = cyy[l:] - cyy[:-l]
-    sxy = cxy[l:] - cxy[:-l]
+    sx = cx[a + l : b + l] - cx[a:b]
+    sy = cy[a + l : b + l] - cy[a:b]
+    sxx = cxx[a + l : b + l] - cxx[a:b]
+    syy = cyy[a + l : b + l] - cyy[a:b]
+    sxy = cxy[a + l : b + l] - cxy[a:b]
     vx = sxx - sx * sx / l
     vy = syy - sy * sy / l
     cov = sxy - sx * sy / l
     ok = (vx > tol * l) & (vy > tol * l)
-    denom = np.sqrt(np.where(ok, vx * vy, 1.0))
-    return np.where(ok, np.clip(cov / denom, -1.0, 1.0), 0.0)
+    return ok & (cov / np.sqrt(np.where(ok, vx * vy, 1.0)) >= beta)
 
 
 def _prefix_sums(xv: np.ndarray, yv: np.ndarray):
@@ -183,21 +183,23 @@ def correlated_intervals(x: TimeSeries, y: TimeSeries, p: IntervalParams) -> lis
 
     out: list[Interval] = []
     l = p.l_min
-    valid = _sliding_r(csum, l) >= p.beta
-    while True:
-        if not valid.any():
-            break
-        if l == n:
-            if valid[0]:
-                out.append(Interval(off, off + n - 1))
-            break
-        # Level l+1 validity: both length-l children valid and own r >= beta.
-        nxt = valid[:-1] & valid[1:] & (_sliding_r(csum, l + 1) >= p.beta)
-        ext_left = np.concatenate(([False], nxt))
-        ext_right = np.concatenate((nxt, [False]))
-        for a in np.flatnonzero(valid & ~ext_left & ~ext_right):
-            out.append(Interval(off + int(a), off + int(a) + l - 1))
-        valid = nxt
+    # valid length-l starts, as closed runs [a, b]
+    runs = BinaryMask(_valid_starts(csum, l, p.beta, 0, n - l + 1)).runs()
+    while runs:
+        nxt_runs = []
+        for a, b in runs:
+            # start s is valid at length l + 1 iff s and s + 1 are valid at
+            # length l (so a <= s < b) and its own r clears the threshold
+            nxt = _valid_starts(csum, l + 1, p.beta, a, b)
+            if b > a and nxt.all():
+                nxt_runs.append((a, b - 1))
+                continue
+            # maximal: neither [s - 1, s + l - 1] nor [s, s + l] is valid
+            grown = np.concatenate(([False], nxt)) | np.concatenate((nxt, [False]))
+            for s in np.flatnonzero(~grown):
+                out.append(Interval(off + a + int(s), off + a + int(s) + l - 1))
+            nxt_runs += BinaryMask(nxt, a).runs()
+        runs = nxt_runs
         l += 1
     out.sort()
     return out

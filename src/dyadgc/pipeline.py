@@ -6,7 +6,9 @@ For every interaction pair, condition, and expression the driver:
    (frames below the cutoff are dropped for both sides; the surviving runs
    act as hard boundaries for all windowed computation);
 2. mines relevant intervals per member AU across the shift grid, median
-   filters and extends each AU's selection, and intersects across AUs;
+   filters and extends each AU's selection, and intersects across AUs
+   (each AU is mined once per pair and condition, however many expressions
+   contain it);
 3. standardizes the expression signals over the kept frames and runs the
    Granger tests twice: once on the selected segments, once over the full
    kept span, so both columns of the report come from identical data;
@@ -249,22 +251,16 @@ def _kept_run_signals(pair: SyncedPair, s_vals: np.ndarray, r_vals: np.ndarray):
     return runs
 
 
-def _mine_expression(
-    runs_per_au: dict[int, list], params, span: tuple[int, int]
-) -> tuple[dict[int, IntervalSet], IntervalSet]:
-    """Per-AU mining over kept runs, postprocess per AU, intersect across AUs."""
+def _mine_au(runs, params, span: tuple[int, int]) -> IntervalSet:
+    """One AU's selection: mine every kept run over the shift grid, then postprocess."""
     start, end = span
-    per_au: dict[int, IntervalSet] = {}
-    for au_id in sorted(runs_per_au):
-        candidates: list[Interval] = []
-        for xs, ys in runs_per_au[au_id]:
-            if len(xs) < params.l_min:
-                continue
-            for iv in mine_shifted(xs, ys, params):
-                candidates.append(iv)
-        mined = longest_set(candidates)  # runs are disjoint; this just re-sorts
-        per_au[au_id] = postprocess(mined, params, end - start + 1, start)
-    return per_au, intersect_sets(list(per_au.values()))
+    candidates: list[Interval] = []
+    for xs, ys in runs:
+        if len(xs) < params.l_min:
+            continue
+        candidates.extend(mine_shifted(xs, ys, params))
+    mined = longest_set(candidates)  # runs are disjoint; this just re-sorts
+    return postprocess(mined, params, end - start + 1, start)
 
 
 def _run_gc(segments, config: AnalysisConfig) -> tuple[str, GCTestResult | None]:
@@ -377,6 +373,9 @@ def analyze_pair_condition(
     kept = pair.kept_frames.total_length()
     span = (int(pair.sender.frame_indices[0]), int(pair.sender.frame_indices[-1]))
 
+    # each AU's selection, mined once for all expressions (its runs are not kept)
+    mined: dict[int, IntervalSet] = {}
+    per_au_mode = config.signal_mode == "per_au"
     cells = []
     for name in config.expressions:
         expr = EXPRESSIONS_BY_NAME.get(name)
@@ -391,22 +390,28 @@ def analyze_pair_condition(
             )
             continue
 
-        # interval mining always runs per AU pair
         aus = sorted(expr.au_ids)
+        given = precomputed is not None and name in precomputed
+        # member-AU runs, built only to test each AU or to mine it the first time
         runs_per_au = {
             au: _kept_run_signals(
                 pair, pair.sender.intensities[AU_ROW[au]], pair.receiver.intensities[AU_ROW[au]]
             )
             for au in aus
+            if per_au_mode or not (given or au in mined)
         }
-        if precomputed is not None and name in precomputed:
+        if given:
             selection = precomputed[name]
             per_au_sets = {au: selection for au in aus}
         else:
-            per_au_sets, selection = _mine_expression(runs_per_au, params, span)
+            for au in aus:
+                if au not in mined:
+                    mined[au] = _mine_au(runs_per_au[au], params, span)
+            per_au_sets = {au: mined[au] for au in aus}
+            selection = intersect_sets([mined[au] for au in aus])
 
         note = ""
-        if config.signal_mode == "per_au":
+        if per_au_mode:
             tests = [_test_signal(runs_per_au[au], per_au_sets[au], config) for au in aus]
             full_status, full_outcome, n_full = _vote([f for f, _ in tests])
             sel_status, sel_outcome, n_sel = _vote([s for _, s in tests])

@@ -16,7 +16,13 @@ from dyadgc.intervals import (
 from dyadgc.synth import gen_window_pair
 from dyadgc.timeseries import TimeSeries, pearson
 
-from oracles import oracle_longest_set, oracle_majority_filter, oracle_maximal_intervals, oracle_maximal_intervals_tiny
+from oracles import (
+    oracle_longest_set,
+    oracle_majority_filter,
+    oracle_maximal_intervals,
+    oracle_maximal_intervals_tiny,
+    windows_corr,
+)
 
 
 def ts(values, start=0):
@@ -28,6 +34,26 @@ def correlated_pair(rng, n, rho=0.85):
     x = base + np.sqrt(1 / rho**2 - 1) / np.sqrt(2) * rng.normal(size=n)
     y = base + np.sqrt(1 / rho**2 - 1) / np.sqrt(2) * rng.normal(size=n)
     return x, y
+
+
+def mined(x, y, beta, l_min):
+    p = IntervalParams(beta=beta, l_min=l_min, shifts=(0,))
+    return [(iv.start, iv.end) for iv in correlated_intervals(ts(x), ts(y), p)]
+
+
+def level_runs(x, y, beta, l_min):
+    """Runs of valid starts per window length, from the oracle's direct window scores."""
+    out = {}
+    valid = windows_corr(x, y, l_min) >= beta
+    l = l_min
+    while valid.any():
+        idx = np.flatnonzero(valid)
+        out[l] = [(int(r[0]), int(r[-1])) for r in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)]
+        if l == len(x):
+            break
+        valid = valid[:-1] & valid[1:] & (windows_corr(x, y, l + 1) >= beta)
+        l += 1
+    return out
 
 
 class TestIntervalTypes:
@@ -120,6 +146,63 @@ class TestCorrelatedIntervals:
     def test_too_short_raises(self):
         with pytest.raises(ShapeError):
             correlated_intervals(ts(np.zeros(10)), ts(np.zeros(10)), IntervalParams())
+
+
+class TestRunSlicedLevels:
+    """The miner evaluates each length only inside the runs of valid starts."""
+
+    def test_two_separate_stretches(self):
+        rng = np.random.default_rng(11)
+        x, y = rng.normal(size=400), rng.normal(size=400)
+        for a, b in ((40, 160), (250, 370)):
+            y[a:b] = x[a:b] + 0.2 * rng.normal(size=b - a)
+        assert len(level_runs(x, y, 0.8, 30)[30]) >= 2  # several runs at one level
+        got = mined(x, y, 0.8, 30)
+        assert got == oracle_maximal_intervals(x, y, 0.8, 30)
+        assert any(b < 200 for _, b in got) and any(a > 200 for a, _ in got)
+
+    def test_run_splits_at_a_dip(self):
+        rng = np.random.default_rng(0)
+        base = rng.normal(size=300)
+        x, y = base + 0.45 * rng.normal(size=300), base + 0.45 * rng.normal(size=300)
+        levels = level_runs(x, y, 0.8, 20)
+        # some run at length l holds two or more separate runs at length l + 1
+        assert any(
+            sum(a <= c and d < b for c, d in levels.get(l + 1, [])) >= 2
+            for l, runs in levels.items()
+            for a, b in runs
+        )
+        assert mined(x, y, 0.8, 20) == oracle_maximal_intervals(x, y, 0.8, 20)
+
+    def test_run_stays_valid_up_to_full_length(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=150)
+        y = x + 0.1 * rng.normal(size=150)
+        assert max(level_runs(x, y, 0.8, 20)) == 150
+        assert mined(x, y, 0.8, 20) == oracle_maximal_intervals(x, y, 0.8, 20) == [(0, 149)]
+
+    def test_flat_stretches_score_zero(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=300)
+        y = x + 0.2 * rng.normal(size=300)
+        x[100:160] = 2.0  # sender flat
+        y[220:280] = -1.0  # receiver flat
+        got = mined(x, y, 0.5, 25)
+        assert got == oracle_maximal_intervals(x, y, 0.5, 25)
+        assert got
+        for a, b in got:  # no interval holds a window that is flat on one side
+            for lo, hi in ((100, 159), (220, 279)):
+                assert max(a, lo) + 25 - 1 > min(b, hi)
+
+    def test_beta_one_keeps_only_exact_stretches(self):
+        # integers with equal sums: both prefix sums stay exact and the two
+        # centered series agree on the shared stretch, so r there is exactly 1
+        rng = np.random.default_rng(14)
+        x = rng.integers(0, 1000, size=256).astype(float)
+        y = x.copy()
+        y[:60] = x[:60][::-1]
+        y[200:] = x[200:][::-1]
+        assert mined(x, y, 1.0, 20) == oracle_maximal_intervals(x, y, 1.0, 20) == [(60, 199)]
 
 
 class TestLongestSet:

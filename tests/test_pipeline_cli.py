@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dyadgc.au_features import AU_IDS, AURecording, write_au_csv
+from dyadgc import pipeline
+from dyadgc.au_features import AU_IDS, AU_ROW, EXPRESSIONS, AURecording, parse_au_csv, write_au_csv
 from dyadgc.cli import main
 from dyadgc.config import AnalysisConfig, dump_config, load_config, with_overrides
 from dyadgc.errors import ConfigError, FormatError
@@ -248,6 +249,55 @@ class TestPerCellPath:
         assert cell.sel_result.n_effective == (100 - order) + (191 - order)
 
 
+class TestMiningPerAU:
+    """Each AU is mined once per pair and condition, whatever shares it."""
+
+    # frames 190..199 fail the cutoff: two kept runs, each mined on its own
+    KEPT = [f for f in range(400) if not 190 <= f <= 199]
+
+    @staticmethod
+    def _count_mining(monkeypatch):
+        calls = []
+        real = pipeline.mine_shifted
+
+        def counted(x, y, params):
+            calls.append((x.start_frame, x.values.tobytes(), y.values.tobytes()))
+            return real(x, y, params)
+
+        monkeypatch.setattr(pipeline, "mine_shifted", counted)
+        return calls
+
+    @pytest.mark.parametrize("signal_mode", ["expression_mean", "per_au"])
+    def test_shared_au_is_mined_once(self, monkeypatch, signal_mode):
+        sender, receiver = _pair_with_kept(400, self.KEPT)
+        # happiness_lower = {12, 25} and fear_lower = {20, 25} share AU25
+        cfg = AnalysisConfig(expressions=("happiness_lower", "fear_lower"), signal_mode=signal_mode)
+        alone = [
+            analyze_pair_condition(sender, receiver, with_overrides(cfg, expressions=(name,)))[0]
+            for name in cfg.expressions
+        ]
+        calls = self._count_mining(monkeypatch)
+        cells = analyze_pair_condition(sender, receiver, cfg)
+        assert len(calls) == 3 * 2  # AU12, AU20, AU25, once per kept run
+        assert len(set(calls)) == len(calls)
+        for cell, ref in zip(cells, alone):
+            assert cell.intervals.intervals == ref.intervals.intervals
+            assert (cell.sel_status, cell.sel_outcome) == (ref.sel_status, ref.sel_outcome)
+
+    def test_precomputed_expression_is_not_mined(self, monkeypatch):
+        sender, receiver = _pair_with_kept(400, self.KEPT)
+        cfg = AnalysisConfig(expressions=("happiness_lower", "surprise_lower"))
+        given = {"happiness_lower": IntervalSet((Interval(20, 180),))}
+        calls = self._count_mining(monkeypatch)
+        cells = analyze_pair_condition(sender, receiver, cfg, precomputed=given)
+        assert len(calls) == 2  # AU26 of surprise_lower, once per kept run
+        assert cells[0].intervals == given["happiness_lower"]
+        calls.clear()
+        given["surprise_lower"] = IntervalSet()
+        analyze_pair_condition(sender, receiver, cfg, precomputed=given)
+        assert calls == []
+
+
 class TestEmitReport:
     def test_json_round_trip(self, result, tmp_path):
         emit_report(result, tmp_path)
@@ -345,6 +395,50 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "manifest valid" not in captured.out
         assert "receiver.csv: bad value in row 5: AU45_r is nan" in captured.err
+
+    def test_frame_gap_is_reported_and_counted_over_present_frames(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        manifest = make_demo_cohort(tmp_path / "c", n_pairs=2, length=600, seed=5)
+        gapped = tmp_path / "c" / "pair01_contempt_receiver.csv"
+        lines = gapped.read_text().splitlines()
+        del lines[101:121]  # data rows 101-120
+        gapped.write_text("\n".join(lines) + "\n")
+
+        assert main(["ingest", "--manifest", str(manifest)]) == 0
+        out = capsys.readouterr().out
+        assert "ok pair01 receiver contempt: 580 frames, 20 missing in 1 gap(s)\n" in out
+        assert "ok pair01 sender contempt: 600 frames\n" in out
+
+        seen = []
+        real = pipeline.count_activations
+
+        def record(mask, video_len):
+            value = real(mask, video_len)
+            seen.append((len(mask), video_len, value))
+            return value
+
+        monkeypatch.setattr(pipeline, "count_activations", record)
+        assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "occurrence.csv").exists()
+
+        # the receiver's baseline pools its three conditions; count its active
+        # frames among the 580 present ones directly
+        recs = [
+            parse_au_csv(tmp_path / "c" / f"pair01_{c}_receiver.csv")
+            for c in ("respectful", "contempt", "objective")
+        ]
+        pooled = np.concatenate([r.intensities for r in recs], axis=1)
+        thr = pooled.mean(axis=1) + 0.5 * pooled.std(axis=1, ddof=1)
+        expected = [
+            np.all(
+                [recs[1].intensities[AU_ROW[a]] >= thr[AU_ROW[a]] for a in expr.au_ids], axis=0
+            ).sum() / 580
+            for expr in EXPRESSIONS
+            if expr.available_in(AU_IDS)
+        ]
+        got = [(span, value) for span, video_len, value in seen if video_len == 580]
+        assert got == [(600, v) for v in expected]
 
     def test_ingest_and_pipeline_and_report(self, cohort, tmp_path, capsys):
         assert main(["ingest", "--manifest", str(cohort)]) == 0
