@@ -189,6 +189,15 @@ def select_order(x_segments, y_segments, m_max: int, criterion: str = "bic") -> 
     All candidate orders are scored on the same regression rows (those
     available at ``m_max``) so the criteria are comparable; ties go to the
     smaller order.
+
+    One factorization scores every order. The columns
+    ``[x_1, y_1, ..., x_M, y_M, x_t, y_t]`` (lag j of each signal, M =
+    ``m_max``, then the two targets) are reduced to R by a single QR. The
+    order-m model regresses on the first 2m columns, so the residual
+    cross-products of the two targets are sums over rows 2m, 2m + 1, ...
+    (counting from 0) of R's last two columns; nothing is subtracted from
+    the targets' norms. The residual covariance determinant is clamped at
+    1e-300.
     """
     if criterion not in ("aic", "bic"):
         raise ConfigError(f"criterion must be 'aic' or 'bic', got {criterion!r}")
@@ -200,16 +209,21 @@ def select_order(x_segments, y_segments, m_max: int, criterion: str = "bic") -> 
         raise InsufficientData(
             f"{t_eff} effective samples cannot support m_max={m_max}"
         )
+    a = np.empty((t_eff, 2 * m_max + 2))
+    a[:, 0:-2:2] = d.x_lags
+    a[:, 1:-2:2] = d.y_lags
+    a[:, -2] = d.x_targets
+    a[:, -1] = d.y_targets
+    del d  # qr copies a: freeing the design first keeps the peak memory down
+    r = np.linalg.qr(a, mode="r")
+    rx, ry = r[:, -2], r[:, -1]
+    # tail[k] = sum over rows k.. of R; t_eff > 2 * m_max + 1 makes R square
+    sxx_tail = np.cumsum((rx * rx)[::-1])[::-1] / t_eff
+    syy_tail = np.cumsum((ry * ry)[::-1])[::-1] / t_eff
+    sxy_tail = np.cumsum((rx * ry)[::-1])[::-1] / t_eff
     best_m, best_ic = 1, np.inf
     for m in range(1, m_max + 1):
-        design = np.column_stack([d.x_lags[:, :m], d.y_lags[:, :m]])
-        coef_x, _, _, _ = np.linalg.lstsq(design, d.x_targets, rcond=None)
-        coef_y, _, _, _ = np.linalg.lstsq(design, d.y_targets, rcond=None)
-        ex = d.x_targets - design @ coef_x
-        ey = d.y_targets - design @ coef_y
-        sxx = ex @ ex / t_eff
-        syy = ey @ ey / t_eff
-        sxy = ex @ ey / t_eff
+        sxx, syy, sxy = sxx_tail[2 * m], syy_tail[2 * m], sxy_tail[2 * m]
         det = max(sxx * syy - sxy * sxy, 1e-300)
         n_params = 4 * m
         if criterion == "aic":

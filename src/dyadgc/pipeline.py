@@ -8,7 +8,7 @@ For every interaction pair, condition, and expression the driver:
 2. mines relevant intervals per member AU across the shift grid, median
    filters and extends each AU's selection, and intersects across AUs
    (each AU is mined once per pair and condition, however many expressions
-   contain it);
+   contain it; in ``per_au`` mode its tests on that selection also run once);
 3. standardizes the expression signals over the kept frames and runs the
    Granger tests twice: once on the selected segments, once over the full
    kept span, so both columns of the report come from identical data;
@@ -373,8 +373,10 @@ def analyze_pair_condition(
     kept = pair.kept_frames.total_length()
     span = (int(pair.sender.frame_indices[0]), int(pair.sender.frame_indices[-1]))
 
-    # each AU's selection, mined once for all expressions (its runs are not kept)
+    # each AU's selection, mined once for all expressions (its runs are not kept),
+    # and in per_au mode its (full, selected) tests on that selection
     mined: dict[int, IntervalSet] = {}
+    tested: dict[int, tuple] = {}
     per_au_mode = config.signal_mode == "per_au"
     cells = []
     for name in config.expressions:
@@ -392,27 +394,32 @@ def analyze_pair_condition(
 
         aus = sorted(expr.au_ids)
         given = precomputed is not None and name in precomputed
-        # member-AU runs, built only to test each AU or to mine it the first time
+        # member-AU runs, built only to mine an AU the first time or to test it
+        # on a given selection (a mined AU is tested when it is mined)
         runs_per_au = {
             au: _kept_run_signals(
                 pair, pair.sender.intensities[AU_ROW[au]], pair.receiver.intensities[AU_ROW[au]]
             )
             for au in aus
-            if per_au_mode or not (given or au in mined)
+            if (per_au_mode and given) or not (given or au in mined)
         }
         if given:
             selection = precomputed[name]
-            per_au_sets = {au: selection for au in aus}
         else:
             for au in aus:
                 if au not in mined:
                     mined[au] = _mine_au(runs_per_au[au], params, span)
-            per_au_sets = {au: mined[au] for au in aus}
+                    if per_au_mode:
+                        tested[au] = _test_signal(runs_per_au[au], mined[au], config)
             selection = intersect_sets([mined[au] for au in aus])
 
         note = ""
         if per_au_mode:
-            tests = [_test_signal(runs_per_au[au], per_au_sets[au], config) for au in aus]
+            if given:
+                # the selection differs from expression to expression: no reuse
+                tests = [_test_signal(runs_per_au[au], selection, config) for au in aus]
+            else:
+                tests = [tested[au] for au in aus]
             full_status, full_outcome, n_full = _vote([f for f, _ in tests])
             sel_status, sel_outcome, n_sel = _vote([s for _, s in tests])
             full_result = sel_result = None

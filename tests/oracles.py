@@ -4,7 +4,8 @@ Everything here recomputes results from definitions, along different routes
 than the library (direct per-window centered sums instead of prefix sums,
 subinterval counting instead of the bottom-up recurrence, exhaustive subset
 search instead of scheduling DP, sign-pattern enumeration instead of the
-counting polynomial), so agreement is meaningful.
+counting polynomial, one least-squares solve per candidate VAR order instead
+of one QR for all orders), so agreement is meaningful.
 """
 
 from itertools import combinations, product
@@ -12,6 +13,9 @@ from itertools import combinations, product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import rankdata
+
+from dyadgc.errors import ConfigError, InsufficientData
+from dyadgc.granger import build_design
 
 
 def window_corr(xv, yv, a, b) -> float:
@@ -159,3 +163,36 @@ def oracle_pearson(xv, yv) -> float:
     if denom == 0:
         return 0.0
     return float(np.sum(xd * yd) / denom)
+
+
+def oracle_select_order(x_segments, y_segments, m_max: int, criterion: str = "bic") -> int:
+    """VAR order by AIC/BIC with one ``lstsq`` per order and target, on the rows of ``m_max``."""
+    if criterion not in ("aic", "bic"):
+        raise ConfigError(f"criterion must be 'aic' or 'bic', got {criterion!r}")
+    if m_max < 1:
+        raise ConfigError(f"m_max must be >= 1, got {m_max}")
+    d = build_design(x_segments, y_segments, m_max)
+    t_eff = len(d.x_targets)
+    if t_eff <= 2 * m_max + 1:
+        raise InsufficientData(
+            f"{t_eff} effective samples cannot support m_max={m_max}"
+        )
+    best_m, best_ic = 1, np.inf
+    for m in range(1, m_max + 1):
+        design = np.column_stack([d.x_lags[:, :m], d.y_lags[:, :m]])
+        coef_x, _, _, _ = np.linalg.lstsq(design, d.x_targets, rcond=None)
+        coef_y, _, _, _ = np.linalg.lstsq(design, d.y_targets, rcond=None)
+        ex = d.x_targets - design @ coef_x
+        ey = d.y_targets - design @ coef_y
+        sxx = ex @ ex / t_eff
+        syy = ey @ ey / t_eff
+        sxy = ex @ ey / t_eff
+        det = max(sxx * syy - sxy * sxy, 1e-300)
+        n_params = 4 * m
+        if criterion == "aic":
+            ic = np.log(det) + 2.0 * n_params / t_eff
+        else:
+            ic = np.log(det) + np.log(t_eff) * n_params / t_eff
+        if ic < best_ic:
+            best_ic, best_m = ic, m
+    return best_m

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy import signal as spsig
 from scipy import stats as sps
 
+from dyadgc import pipeline
+from dyadgc.config import AnalysisConfig
 from dyadgc.errors import ConfigError, EmptyInput, InsufficientData, SingularDesign
 from dyadgc.granger import (
     Direction,
@@ -15,6 +18,8 @@ from dyadgc.granger import (
     gc_test,
     select_order,
 )
+from dyadgc.timeseries import TimeSeries
+from oracles import oracle_select_order
 
 
 def ar1_pair(seed, n=2000, a=0.5):
@@ -131,6 +136,63 @@ class TestSelectOrder:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientData):
             select_order([np.zeros(20)], [np.zeros(20)], 12, "bic")
+
+    def test_m_max_below_one(self):
+        x, y = ar1_pair(5, n=100)
+        with pytest.raises(ConfigError):
+            select_order([x], [y], 0, "bic")
+
+
+def _random_system(seed):
+    """An AR or coupled pair in 1-4 segments of 40-3000 frames in total, and an m_max the segments support.
+
+    Every fourth system is quantized to integers or halves; every fifth has an
+    x that is zero over all or half of the span.
+    """
+    rng = np.random.default_rng(seed)
+    total = int(np.exp(rng.uniform(np.log(40), np.log(3000))))
+    n_seg = int(rng.integers(1, 5))
+    cuts = np.sort(rng.choice(np.arange(1, total), n_seg - 1, replace=False))
+    lengths = np.diff(np.concatenate([[0], cuts, [total]])).astype(int)
+    x = spsig.lfilter([1.0], [1.0, -rng.uniform(0.0, 0.98)], rng.normal(size=total))
+    drive = rng.normal(size=total)
+    if rng.random() < 0.5:  # coupled: y follows x at a lag
+        lag = int(rng.integers(1, 5))
+        drive[lag:] += rng.uniform(0.1, 1.0) * x[:-lag]
+    y = spsig.lfilter([1.0], [1.0, -rng.uniform(0.0, 0.98)], drive)
+    x, y = x * rng.uniform(1.0, 5.0), y * rng.uniform(1.0, 5.0)
+    if seed % 4 == 0:
+        step = 1.0 if seed % 8 == 0 else 0.5
+        x, y = np.round(x / step) * step, np.round(y / step) * step
+    if seed % 5 == 0:
+        x[: total if seed % 10 == 0 else total // 2] = 0.0
+    bounds = np.cumsum(lengths)[:-1]
+    m_max = cap_order(list(lengths), int(rng.integers(1, 13)))
+    return np.split(x, bounds), np.split(y, bounds), m_max
+
+
+class TestSelectOrderOracle:
+    """One QR per call picks the order that one ``lstsq`` per order picks."""
+
+    @pytest.mark.parametrize("criterion", ["bic", "aic"])
+    def test_equals_per_order_lstsq(self, criterion):
+        for seed in range(320):
+            xs, ys, m_max = _random_system(seed)
+            assert select_order(xs, ys, m_max, criterion) == oracle_select_order(
+                xs, ys, m_max, criterion
+            ), seed
+
+    @pytest.mark.parametrize("gc_mode, status", [("pooled", "degenerate"), ("averaged", "insufficient")])
+    def test_collinear_pair_still_fails_its_test(self, gc_mode, status):
+        # y = c * x: the residual determinant is 0 in exact arithmetic, so the
+        # chosen order is decided by roundoff; the cell must fail either way
+        cfg = AnalysisConfig(gc_mode=gc_mode)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            xs, _, _ = _random_system(1 + 5 * seed)  # never zeroed
+            c = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
+            segments = [(TimeSeries(x), TimeSeries(c * x)) for x in xs]
+            assert pipeline._run_gc(segments, cfg) == (status, None), seed
 
 
 class TestCapOrder:

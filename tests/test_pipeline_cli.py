@@ -298,6 +298,73 @@ class TestMiningPerAU:
         assert calls == []
 
 
+class TestPerAUTestsOnce:
+    """In per_au mode each AU's tests run once per pair and condition, whatever shares it."""
+
+    KEPT = TestMiningPerAU.KEPT
+
+    @staticmethod
+    def _count_orders(monkeypatch):
+        calls = []
+        real = pipeline.select_order
+
+        def counted(xs, ys, m_max, criterion):
+            calls.append((tuple(x.tobytes() for x in xs), tuple(y.tobytes() for y in ys), m_max))
+            return real(xs, ys, m_max, criterion)
+
+        monkeypatch.setattr(pipeline, "select_order", counted)
+        return calls
+
+    @staticmethod
+    def _outcomes(cell):
+        return (cell.full_status, cell.sel_status, cell.full_outcome, cell.sel_outcome, cell.note)
+
+    def _alone(self, monkeypatch, sender, receiver, cfg, precomputed=None):
+        """Each expression run on its own: its cell and its select_order inputs."""
+        calls = self._count_orders(monkeypatch)
+        cells, inputs = [], []
+        for name in cfg.expressions:
+            (cell,) = analyze_pair_condition(
+                sender, receiver, with_overrides(cfg, expressions=(name,)), precomputed
+            )
+            cells.append(cell)
+            inputs.append(list(calls))
+            calls.clear()
+        return cells, inputs, calls
+
+    def test_shared_au_is_tested_once(self, monkeypatch):
+        sender, receiver = _pair_with_kept(400, self.KEPT)
+        # the receiver's AU25 echoes the sender's over frames 40..179, so AU25
+        # has a selected interval and a selected test as well as a full-span one
+        intens = receiver.intensities.copy()
+        row = AU_ROW[25]
+        intens[row, 40:180] = sender.intensities[row, 40:180]
+        intens[row, 40:180] += np.random.default_rng(1).normal(0.0, 0.1, 140)
+        receiver = AURecording(
+            receiver.participant_id, receiver.condition, receiver.role,
+            receiver.frame_indices, receiver.confidence, intens,
+        )
+        # happiness_lower = {12, 25} and fear_lower = {20, 25} share AU25
+        cfg = AnalysisConfig(expressions=("happiness_lower", "fear_lower"), signal_mode="per_au")
+        alone, inputs, calls = self._alone(monkeypatch, sender, receiver, cfg)
+        cells = analyze_pair_condition(sender, receiver, cfg)
+        assert len(calls) == len(set(calls))  # no test input is fitted twice
+        assert set(calls) == set(inputs[0]) | set(inputs[1])
+        # AU25's full-span and selected tests were shared
+        assert len(calls) == len(inputs[0]) + len(inputs[1]) - 2
+        assert [self._outcomes(c) for c in cells] == [self._outcomes(c) for c in alone]
+
+    def test_precomputed_expression_runs_its_own_tests(self, monkeypatch):
+        sender, receiver = _pair_with_kept(400, self.KEPT)
+        cfg = AnalysisConfig(expressions=("happiness_lower", "fear_lower"), signal_mode="per_au")
+        given = {"happiness_lower": IntervalSet((Interval(20, 180),))}
+        alone, inputs, calls = self._alone(monkeypatch, sender, receiver, cfg, given)
+        cells = analyze_pair_condition(sender, receiver, cfg, precomputed=given)
+        # AU25's full-span test runs for both: the given selection is not the mined one
+        assert calls == inputs[0] + inputs[1]
+        assert [self._outcomes(c) for c in cells] == [self._outcomes(c) for c in alone]
+
+
 class TestEmitReport:
     def test_json_round_trip(self, result, tmp_path):
         emit_report(result, tmp_path)
