@@ -17,7 +17,7 @@ From a recording we derive:
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -182,27 +182,27 @@ def parse_au_csv(
     ``confidence``, and ``AUxx_r`` for each of the 17 regression AUs. Extra
     columns are ignored. A value that does not parse, is NaN or infinite, or
     a frame outside int64 raises :class:`FormatError` naming the CSV row.
+
+    numpy's C reader parses the numbers. A file it refuses (a quoted cell, a
+    whitespace-only or all-comma row, a spelling only ``float()`` accepts
+    such as ``1_0``, an unusable value) is read again by the row-by-row
+    parser, which gives the same recording or the error naming the row: the
+    input decides the path, and the path never changes the result.
     """
     path = Path(path)
     try:
         with path.open(newline="") as fh:
-            return _parse_au_stream(fh, str(path), participant_id, condition, role)
+            table = _load_table(fh, str(path))
+            if table is None:
+                fh.seek(0)
+                return _parse_au_stream(fh, str(path), participant_id, condition, role)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    return _recording(table, str(path), participant_id, condition, role)
 
 
-def parse_au_text(
-    text: str,
-    participant_id: str = "",
-    condition: str = "",
-    role: str = "",
-) -> AURecording:
-    """Like :func:`parse_au_csv` but from an in-memory CSV string."""
-    return _parse_au_stream(io.StringIO(text), "<string>", participant_id, condition, role)
-
-
-def _parse_au_stream(fh, source: str, participant_id, condition, role) -> AURecording:
-    reader = csv.reader(fh)
+def _column_indices(reader, source: str) -> list[int]:
+    """Read the header row; the position of each of :data:`_COLUMNS` in a row."""
     try:
         header = next(reader)
     except StopIteration:
@@ -211,7 +211,57 @@ def _parse_au_stream(fh, source: str, participant_id, condition, role) -> AUReco
     for name in _COLUMNS:
         if name not in names:
             raise FormatError(f"{source}: missing required column {name!r}")
-    pick = operator.itemgetter(*(names.index(name) for name in _COLUMNS))
+    return [names.index(name) for name in _COLUMNS]
+
+
+def _unquoted(lines):
+    # with a quote character about, only the csv module splits a row into the right cells
+    for line in lines:
+        if '"' in line:
+            raise ValueError("quoted cell")
+        yield line
+
+
+def _load_table(fh, source: str) -> np.ndarray | None:
+    """The (rows, 19) table of the :data:`_COLUMNS` values from numpy's C reader, or None.
+
+    The header goes through ``csv.reader`` as in :func:`_parse_au_stream`, so
+    the header errors are the same; the data rows stream from the same handle.
+    None stands for any input only the row-by-row parser reads right or
+    reports: a file without data rows (numpy warns on it), a quoted cell, a
+    row numpy cannot read, or an unusable value.
+    """
+    usecols = _column_indices(csv.reader(fh), source)
+    lines = _unquoted(fh)
+    try:
+        first = next((line for line in lines if line.strip("\r\n")), None)
+        if first is None:
+            return None
+        table = np.loadtxt(
+            itertools.chain((first,), lines),
+            delimiter=",",
+            comments=None,
+            usecols=usecols,
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    if table.shape[1] != len(_COLUMNS) or _unusable(table).any():
+        return None
+    return table
+
+
+def _unusable(table: np.ndarray) -> np.ndarray:
+    """Mask of the values ingest rejects: NaN or infinite, or a frame outside int64."""
+    bad = ~np.isfinite(table)
+    bad[:, 0] |= np.abs(table[:, 0]) >= 2.0**63
+    return bad
+
+
+def _parse_au_stream(fh, source: str, participant_id, condition, role) -> AURecording:
+    """Row-by-row parser: the reference for :func:`parse_au_csv` and the owner of its errors."""
+    reader = csv.reader(fh)
+    pick = operator.itemgetter(*_column_indices(reader, source))
 
     # one flat list of floats: a list per row would hold a list object per frame
     values: list[float] = []
@@ -227,14 +277,17 @@ def _parse_au_stream(fh, source: str, participant_id, condition, role) -> AUReco
     table = np.array(values, dtype=float).reshape(-1, len(_COLUMNS))
     del values
 
-    bad = ~np.isfinite(table)
-    bad[:, 0] |= np.abs(table[:, 0]) >= 2.0**63  # frame outside int64
+    bad = _unusable(table)
     if bad.any():
         k, col = (int(i) for i in np.argwhere(bad)[0])
         row_no = k + 2 + sum(b <= k for b in blanks)
         raise FormatError(
             f"{source}: bad value in row {row_no}: {_COLUMNS[col]} is {float(table[k, col])}"
         )
+    return _recording(table, source, participant_id, condition, role)
+
+
+def _recording(table: np.ndarray, source: str, participant_id, condition, role) -> AURecording:
     try:
         return AURecording(
             participant_id,

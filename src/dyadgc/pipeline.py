@@ -8,7 +8,8 @@ For every interaction pair, condition, and expression the driver:
 2. mines relevant intervals per member AU across the shift grid, median
    filters and extends each AU's selection, and intersects across AUs
    (each AU is mined once per pair and condition, however many expressions
-   contain it; in ``per_au`` mode its tests on that selection also run once);
+   contain it; in ``per_au`` mode its full-span test and its test on that
+   selection also run once);
 3. standardizes the expression signals over the kept frames and runs the
    Granger tests twice: once on the selected segments, once over the full
    kept span, so both columns of the report come from identical data;
@@ -299,20 +300,19 @@ def _run_gc(segments, config: AnalysisConfig) -> tuple[str, GCTestResult | None]
         return "insufficient", None
 
 
-def _test_signal(runs, selection: IntervalSet, config: AnalysisConfig):
-    """Full-span and interval-selected (status, result) for one sender/receiver signal.
+def _test_selected(runs, selection: IntervalSet, config: AnalysisConfig):
+    """Interval-selected (status, result) for one sender/receiver signal.
 
-    The full span tests every kept run; the selected test clips the selection
-    to each run, so a confidence gap always splits a selected interval.
+    The selection is clipped to each kept run, so a confidence gap always
+    splits a selected interval. The full-span test is ``_run_gc(runs, config)``.
     """
-    full = _run_gc(runs, config)
     if len(selection) == 0:
-        return full, ("no_intervals", None)
+        return "no_intervals", None
     segments = []
     for xs, ys in runs:
         run = IntervalSet((Interval(xs.start_frame, xs.end_frame),))
         segments += segment_series(xs, ys, intersect_sets([selection, run]))
-    return full, _run_gc(segments, config)
+    return _run_gc(segments, config)
 
 
 def _majority(outcomes: list[Direction]) -> Direction:
@@ -374,9 +374,10 @@ def analyze_pair_condition(
     span = (int(pair.sender.frame_indices[0]), int(pair.sender.frame_indices[-1]))
 
     # each AU's selection, mined once for all expressions (its runs are not kept),
-    # and in per_au mode its (full, selected) tests on that selection
+    # and in per_au mode its full-span test and its test on the mined selection
     mined: dict[int, IntervalSet] = {}
-    tested: dict[int, tuple] = {}
+    full_tests: dict[int, tuple] = {}
+    mined_tests: dict[int, tuple] = {}
     per_au_mode = config.signal_mode == "per_au"
     cells = []
     for name in config.expressions:
@@ -395,7 +396,8 @@ def analyze_pair_condition(
         aus = sorted(expr.au_ids)
         given = precomputed is not None and name in precomputed
         # member-AU runs, built only to mine an AU the first time or to test it
-        # on a given selection (a mined AU is tested when it is mined)
+        # on a given selection; an AU's full-span test and its test on its mined
+        # selection run while its runs are first built
         runs_per_au = {
             au: _kept_run_signals(
                 pair, pair.sender.intensities[AU_ROW[au]], pair.receiver.intensities[AU_ROW[au]]
@@ -409,28 +411,31 @@ def analyze_pair_condition(
             for au in aus:
                 if au not in mined:
                     mined[au] = _mine_au(runs_per_au[au], params, span)
-                    if per_au_mode:
-                        tested[au] = _test_signal(runs_per_au[au], mined[au], config)
             selection = intersect_sets([mined[au] for au in aus])
 
         note = ""
         if per_au_mode:
-            if given:
-                # the selection differs from expression to expression: no reuse
-                tests = [_test_signal(runs_per_au[au], selection, config) for au in aus]
-            else:
-                tests = [tested[au] for au in aus]
-            full_status, full_outcome, n_full = _vote([f for f, _ in tests])
-            sel_status, sel_outcome, n_sel = _vote([s for _, s in tests])
+            sel_tests = []
+            for au in aus:
+                if au not in full_tests:
+                    full_tests[au] = _run_gc(runs_per_au[au], config)
+                if given:
+                    # the selection differs from expression to expression: no reuse
+                    sel_tests.append(_test_selected(runs_per_au[au], selection, config))
+                    continue
+                if au not in mined_tests:
+                    mined_tests[au] = _test_selected(runs_per_au[au], mined[au], config)
+                sel_tests.append(mined_tests[au])
+            full_status, full_outcome, n_full = _vote([full_tests[au] for au in aus])
+            sel_status, sel_outcome, n_sel = _vote(sel_tests)
             full_result = sel_result = None
             note = f"per_au majority over {n_full} full / {n_sel} selected AU tests"
         else:
             runs = _kept_run_signals(
                 pair, expression_signal(pair.sender, expr), expression_signal(pair.receiver, expr)
             )
-            (full_status, full_result), (sel_status, sel_result) = _test_signal(
-                runs, selection, config
-            )
+            full_status, full_result = _run_gc(runs, config)
+            sel_status, sel_result = _test_selected(runs, selection, config)
             full_outcome = None if full_result is None else full_result.outcome
             sel_outcome = None if sel_result is None else sel_result.outcome
         cells.append(

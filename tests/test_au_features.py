@@ -1,9 +1,11 @@
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dyadgc import au_features
 from dyadgc.au_features import (
     AU_IDS,
     AU_ROW,
@@ -19,10 +21,10 @@ from dyadgc.au_features import (
     expression_activation,
     expression_signal,
     parse_au_csv,
-    parse_au_text,
     write_au_csv,
 )
 from dyadgc.errors import ConfigError, DegenerateSeries, EmptyOverlap, FormatError
+from dyadgc.synth import make_demo_cohort
 from dyadgc.timeseries import BinaryMask
 
 DATA = Path(__file__).parent / "data"
@@ -47,38 +49,112 @@ def csv_text(rows, header=None):
     return "\n".join(lines) + "\n"
 
 
+def parse_text(tmp_path, text):
+    """Write ``text`` byte for byte to a CSV file and parse it with :func:`parse_au_csv`."""
+    path = tmp_path / "rec.csv"
+    path.write_bytes(text.encode())
+    return parse_au_csv(path)
+
+
+def reference_parse(path):
+    """The row-by-row parser on a file, as :func:`parse_au_csv` falls back to it."""
+    with path.open(newline="") as fh:
+        return au_features._parse_au_stream(fh, str(path), "", "", "")
+
+
+def outcome(parse, path):
+    """A parser's result on a file: the bytes of its three arrays, or its FormatError text."""
+    try:
+        rec = parse(path)
+    except FormatError as exc:
+        return str(exc)
+    return [a.tobytes() for a in (rec.frame_indices, rec.confidence, rec.intensities)]
+
+
+def data_lines(n=5, extra=0):
+    """Header and n rows of distinct values, ``extra`` unused columns before the AU columns."""
+    header = [f"pose_{i}" for i in range(extra)] + ["frame", "confidence"]
+    header += [au_column(a) for a in AU_IDS]
+    rows = [
+        [f"{k * 0.25 - i:.2f}" for i in range(extra)]
+        + [str(k + 1), f"{0.9 + k / 100:.2f}"]
+        + [f"{(k * 17 + i) / 20:.6f}" for i in range(len(AU_IDS))]  # inside 0..5
+        for k in range(n)
+    ]
+    return [",".join(header)] + [",".join(r) for r in rows]
+
+
+def with_cell(line, col, value):
+    cells = line.split(",")
+    cells[col] = value
+    return ",".join(cells)
+
+
+LINES = data_lines()
+AU12 = 2 + AU_IDS.index(12)
+
+#: files the C reader must serve on its own
+FAST_CASES = {
+    "crlf": "\r\n".join(LINES) + "\r\n",
+    "cr_only": "\r".join(LINES) + "\r",
+    "no_trailing_newline": "\n".join(LINES),
+    "blank_line": "\n".join(LINES[:3] + [""] + LINES[3:]) + "\n",
+    # OpenFace width: the AU columns after 680 others
+    "wide_openface": "\n".join(data_lines(extra=680)) + "\n",
+}
+
+#: files either parser may serve; each must come out as the reference makes it
+EDGE_CASES = {
+    "whitespace_row": "\n".join(LINES[:3] + ["   "] + LINES[3:]) + "\n",
+    "all_comma_row": "\n".join(LINES[:3] + ["," * 18] + LINES[3:]) + "\n",
+    "quoted_cell": "\n".join(LINES[:2] + [with_cell(LINES[2], AU12, '"1.5"')] + LINES[3:]) + "\n",
+    # split at every comma, the quoted note would shift each later cell one column right
+    "quoted_comma": "\n".join(
+        ["note,pose," + LINES[0]] + [f'"a,b",{k + 10},' + line for k, line in enumerate(LINES[1:])]
+    )
+    + "\n",
+    "underscore_digits": "\n".join(LINES[:2] + [with_cell(LINES[2], AU12, "0.1_2_5")] + LINES[3:])
+    + "\n",
+    "short_row": "\n".join(LINES[:2] + ["3,0.9,0.5"] + LINES[3:]) + "\n",
+    "hash_row": "\n".join(LINES[:2] + ["#" + LINES[2]] + LINES[3:]) + "\n",
+    "header_only": LINES[0] + "\n",
+    "header_without_newline": LINES[0],
+    "header_and_blank_lines": LINES[0] + "\n\n\n",
+}
+
+
 class TestParse:
-    def test_intensities_echoed(self):
+    def test_intensities_echoed(self, tmp_path):
         rows = []
         for i, v in enumerate([0.0, 1.0, 2.0]):
             vals = {a: 0.1 for a in AU_IDS}
             vals[6] = v
             rows.append([i + 1, 0.99] + [vals[a] for a in AU_IDS])
-        rec = parse_au_text(csv_text(rows))
+        rec = parse_text(tmp_path, csv_text(rows))
         np.testing.assert_allclose(rec.intensities[AU_ROW[6]], [0.0, 1.0, 2.0])
         assert rec.n_frames == 3
 
-    def test_missing_confidence_column(self):
+    def test_missing_confidence_column(self, tmp_path):
         header = ["frame"] + [au_column(a) for a in AU_IDS]
         text = csv_text([[1] + [0.0] * len(AU_IDS)], header=header)
         with pytest.raises(FormatError, match="confidence"):
-            parse_au_text(text)
+            parse_text(tmp_path, text)
 
-    def test_non_numeric_cell_reports_row(self):
+    def test_non_numeric_cell_reports_row(self, tmp_path):
         rows = [[1, 0.99] + [0.0] * len(AU_IDS), [2, "oops"] + [0.0] * len(AU_IDS)]
         with pytest.raises(FormatError, match="row 3"):
-            parse_au_text(csv_text(rows))
+            parse_text(tmp_path, csv_text(rows))
 
-    def test_header_whitespace_tolerated(self):
+    def test_header_whitespace_tolerated(self, tmp_path):
         header = [" frame", " confidence"] + [f" {au_column(a)}" for a in AU_IDS]
         text = csv_text([[1, 0.5] + [1.0] * len(AU_IDS)], header=header)
-        rec = parse_au_text(text)
+        rec = parse_text(tmp_path, text)
         assert rec.n_frames == 1
 
-    def test_extra_columns_ignored(self):
+    def test_extra_columns_ignored(self, tmp_path):
         header = ["frame", "confidence", "pose_Rx"] + [au_column(a) for a in AU_IDS]
         text = csv_text([[1, 0.9, 123.4] + [0.3] * len(AU_IDS)], header=header)
-        rec = parse_au_text(text)
+        rec = parse_text(tmp_path, text)
         assert rec.intensities[AU_ROW[45], 0] == pytest.approx(0.3)
 
     def test_round_trip_large_file(self, tmp_path):
@@ -108,14 +184,14 @@ class TestParse:
             ("AU06_r", "inf"),
         ],
     )
-    def test_unusable_value_reports_row(self, column, value):
+    def test_unusable_value_reports_row(self, column, value, tmp_path):
         header = ["frame", "confidence"] + [au_column(a) for a in AU_IDS]
         rows = [[f, 0.99] + [0.5] * len(AU_IDS) for f in (1, 2, 3)]
         rows[1][header.index(column)] = value
         with pytest.raises(FormatError, match=f"row 3: {column} is "):
-            parse_au_text(csv_text(rows, header=header))
+            parse_text(tmp_path, csv_text(rows, header=header))
 
-    def test_columns_mapped_by_name(self):
+    def test_columns_mapped_by_name(self, tmp_path):
         rng = np.random.default_rng(7)
         n = 6
         intens = rng.random((len(AU_IDS), n)) * 5
@@ -126,7 +202,7 @@ class TestParse:
             values = [conf[k], -1.0, *intens[::-1, k], k + 1]
             lines.append(",".join(repr(float(v)) for v in values))
         lines.insert(4, "")  # a blank line between the third and fourth frame
-        rec = parse_au_text("\n".join(lines) + "\n")
+        rec = parse_text(tmp_path, "\n".join(lines) + "\n")
         np.testing.assert_array_equal(rec.intensities, intens)
         np.testing.assert_array_equal(rec.confidence, conf)
         np.testing.assert_array_equal(rec.frame_indices, np.arange(1, n + 1))
@@ -136,16 +212,83 @@ class TestParse:
         cells[header.index("AU12_r")] = "nan"
         lines[6] = ",".join(cells)
         with pytest.raises(FormatError, match="row 7: AU12_r is nan"):
-            parse_au_text("\n".join(lines) + "\n")
+            parse_text(tmp_path, "\n".join(lines) + "\n")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             parse_au_csv(tmp_path / "nope.csv")
 
-    def test_decreasing_frames_rejected(self):
+    def test_decreasing_frames_rejected(self, tmp_path):
         rows = [[2, 0.9] + [0.0] * len(AU_IDS), [1, 0.9] + [0.0] * len(AU_IDS)]
         with pytest.raises(FormatError):
-            parse_au_text(csv_text(rows))
+            parse_text(tmp_path, csv_text(rows))
+
+    @pytest.mark.parametrize("name", sorted(FAST_CASES) + sorted(EDGE_CASES))
+    def test_matches_reference_parser(self, name, tmp_path, monkeypatch):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes({**FAST_CASES, **EDGE_CASES}[name].encode())
+        want = outcome(reference_parse, path)
+        if name in FAST_CASES:
+            monkeypatch.setattr(au_features, "_parse_au_stream", refuse)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert outcome(parse_au_csv, path) == want
+        assert not caught
+
+    @pytest.mark.parametrize(
+        "name, au12",
+        [("whitespace_row", None), ("all_comma_row", None), ("quoted_comma", None),
+         ("quoted_cell", 1.5), ("underscore_digits", 0.125)],
+    )
+    def test_edge_rows_read_as_their_values(self, name, au12, tmp_path):
+        want = parse_text(tmp_path, "\n".join(LINES) + "\n")
+        got = parse_text(tmp_path, EDGE_CASES[name])
+        intens = want.intensities.copy()
+        if au12 is not None:
+            intens[AU_ROW[12], 1] = au12  # the edited cell, in the second frame
+        np.testing.assert_array_equal(got.frame_indices, want.frame_indices)
+        np.testing.assert_array_equal(got.confidence, want.confidence)
+        np.testing.assert_array_equal(got.intensities, intens)
+
+    @pytest.mark.parametrize("name", ["header_only", "header_without_newline", "header_and_blank_lines"])
+    def test_header_only_is_zero_frames_without_warning(self, name, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert parse_text(tmp_path, EDGE_CASES[name]).n_frames == 0
+        assert not caught
+
+    @pytest.mark.parametrize("name", ["short_row", "hash_row"])
+    def test_bad_row_reported_at_its_row(self, name, tmp_path):
+        # a row starting with '#' is a bad value, not a comment
+        with pytest.raises(FormatError, match="bad value in row 3: "):
+            parse_text(tmp_path, EDGE_CASES[name])
+
+    def test_skipped_rows_keep_later_row_numbers(self, tmp_path):
+        # a whitespace-only row (CSV row 4) and an all-comma row (row 5) are skipped;
+        # the NaN in the fourth frame still sits on CSV row 7
+        lines = LINES[:3] + ["  ", ",,,"] + LINES[3:]
+        lines[6] = with_cell(lines[6], AU12, "nan")
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(FormatError, match="row 7: AU12_r is nan"):
+            parse_text(tmp_path, text)
+        assert outcome(parse_au_csv, tmp_path / "rec.csv") == outcome(
+            reference_parse, tmp_path / "rec.csv"
+        )
+
+    def test_fast_path_serves_written_and_demo_files(self, tmp_path, monkeypatch):
+        """A fallback taken on every file would hide here: the reference parser is refused."""
+        written = tmp_path / "written.csv"
+        write_au_csv(written, make_recording(50, au_values={6: np.linspace(0.0, 5.0, 50)}))
+        manifest = make_demo_cohort(tmp_path / "cohort", n_pairs=1, length=600, seed=3)
+        demo = manifest.parent / "pair01_respectful_sender.csv"
+        want = [outcome(reference_parse, p) for p in (written, demo)]
+        assert all(isinstance(w, list) for w in want)
+        monkeypatch.setattr(au_features, "_parse_au_stream", refuse)
+        assert [outcome(parse_au_csv, p) for p in (written, demo)] == want
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the row-by-row parser was called")
 
 
 class TestRegistry:
