@@ -71,6 +71,6 @@ from .stats import (
     wilcoxon_signed_rank,
 )
 from .synth import CouplingSpec, gen_au_fixture, gen_coupled_pair, make_demo_cohort
-from .timeseries import BinaryMask, TimeSeries, median_filter, pearson, shift, standardize
+from .timeseries import BinaryMask, TimeSeries, median_filter, standardize
 
 __version__ = "0.1.0"

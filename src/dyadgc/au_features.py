@@ -8,8 +8,8 @@ From a recording we derive:
 
 * per-participant AU baselines pooled over all of that participant's
   conditions,
-* binary activation masks (intensity >= mean + factor * std per AU, AND-ed
-  over an expression's member AUs),
+* binary activation (intensity >= mean + factor * std per AU, AND-ed over
+  an expression's member AUs),
 * continuous expression signals (mean of member AU intensities) for the
   causal analysis.
 """
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSeries, EmptyOverlap, FormatError, ShapeError
 from .intervals import Interval, IntervalSet
-from .timeseries import STD_DDOF, BinaryMask
+from .timeseries import STD_DDOF
 
 #: the 17 AUs with intensity regression in OpenFace 2.0 output.
 AU_IDS: tuple[int, ...] = (1, 2, 4, 5, 6, 7, 9, 10, 12, 14, 15, 17, 20, 23, 25, 26, 45)
@@ -181,7 +181,8 @@ def parse_au_csv(
     Required columns (whitespace around header names is tolerated): ``frame``,
     ``confidence``, and ``AUxx_r`` for each of the 17 regression AUs. Extra
     columns are ignored. A value that does not parse, is NaN or infinite, or
-    a frame outside int64 raises :class:`FormatError` naming the CSV row.
+    a frame outside int64 raises :class:`FormatError` naming the CSV row; a
+    file that is not UTF-8 raises it naming the file.
 
     numpy's C reader parses the numbers. A file it refuses (a quoted cell, a
     whitespace-only or all-comma row, a spelling only ``float()`` accepts
@@ -191,13 +192,15 @@ def parse_au_csv(
     """
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             table = _load_table(fh, str(path))
             if table is None:
                 fh.seek(0)
                 return _parse_au_stream(fh, str(path), participant_id, condition, role)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return _recording(table, str(path), participant_id, condition, role)
 
 
@@ -364,33 +367,25 @@ def baseline_stats(recordings: Iterable[AURecording]) -> AUBaseline:
     )
 
 
-def au_activation(
-    rec: AURecording, base: AUBaseline, factor: float = 0.5
-) -> dict[int, BinaryMask]:
-    """Per-AU activation masks: frame k is active iff intensity >= mean + factor * std.
+def au_activation(rec: AURecording, base: AUBaseline, factor: float = 0.5) -> np.ndarray:
+    """Per-AU activation: frame k is active iff intensity >= mean + factor * std.
 
-    Each mask spans the recording's first to last frame; missing frames are inactive.
+    A (17, span) bool matrix in :data:`AU_ROW` order whose columns run from
+    the recording's first to last frame; missing frames are inactive.
     """
     frames = rec.frame_indices
     start = int(frames[0]) if rec.n_frames else 0
     active = np.zeros((len(AU_IDS), int(frames[-1]) + 1 - start if rec.n_frames else 0), bool)
     active[:, frames - start] = rec.intensities >= (base.mean + factor * base.std)[:, None]
-    return {a: BinaryMask(bits, start) for a, bits in zip(AU_IDS, active)}
+    return active
 
 
-def expression_activation(act: Mapping[int, BinaryMask], expr: ExpressionDef) -> BinaryMask:
-    """Frame-wise AND over the expression's member AU masks."""
-    missing = expr.au_ids - set(act)
+def expression_activation(active: np.ndarray, expr: ExpressionDef) -> np.ndarray:
+    """Frame-wise AND over the expression's member AU rows of :func:`au_activation`."""
+    missing = expr.au_ids - set(AU_IDS)
     if missing:
-        raise ConfigError(f"{expr.name}: no activation mask for AUs {sorted(missing)}")
-    masks = [act[a] for a in sorted(expr.au_ids)]
-    first = masks[0]
-    bits = first.bits.copy()
-    for m in masks[1:]:
-        if len(m) != len(first) or m.start_frame != first.start_frame:
-            raise ShapeError(f"{expr.name}: AU masks are not frame-aligned")
-        bits &= m.bits
-    return BinaryMask(bits, first.start_frame)
+        raise ConfigError(f"{expr.name}: no activation for AUs {sorted(missing)}")
+    return active[[AU_ROW[a] for a in sorted(expr.au_ids)]].all(axis=0)
 
 
 def expression_signal(rec: AURecording, expr: ExpressionDef) -> np.ndarray:
@@ -405,7 +400,7 @@ def expression_signal(rec: AURecording, expr: ExpressionDef) -> np.ndarray:
     return rec.intensities[[AU_ROW[a] for a in sorted(expr.au_ids)]].mean(axis=0)
 
 
-def count_activations(mask: BinaryMask, video_len: int) -> float:
+def count_activations(active: np.ndarray, video_len: int) -> float:
     """Active-frame count normalized by video length (the frames present).
 
     The second normalization stage (dividing by the per-expression maximum
@@ -414,4 +409,4 @@ def count_activations(mask: BinaryMask, video_len: int) -> float:
     """
     if video_len <= 0:
         raise ConfigError(f"video length must be positive, got {video_len}")
-    return mask.count() / video_len
+    return int(np.count_nonzero(active)) / video_len

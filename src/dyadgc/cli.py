@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-span", action="store_true",
                    help="report the full-span GC instead of the interval-selected one")
     p.add_argument("--intervals-dir", type=Path,
-                   help="reuse interval sets from a previous 'intervals' run")
+                   help="reuse interval sets from a previous 'intervals' run "
+                        "(refused with --signal-mode per_au)")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_granger)
 

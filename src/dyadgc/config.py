@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .au_features import EXPRESSIONS_BY_NAME
 from .errors import ConfigError
 from .intervals import IntervalParams
 
@@ -66,6 +67,9 @@ class AnalysisConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "shifts", tuple(int(s) for s in self.shifts))
         object.__setattr__(self, "expressions", tuple(self.expressions))
+        unknown = [name for name in self.expressions if name not in EXPRESSIONS_BY_NAME]
+        if unknown:
+            raise ConfigError(f"unknown expressions {unknown}; known: {sorted(EXPRESSIONS_BY_NAME)}")
         # delegate the interval-parameter validation
         self.interval_params()
 

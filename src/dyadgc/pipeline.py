@@ -9,7 +9,7 @@ For every interaction pair, condition, and expression the driver:
    filters and extends each AU's selection, and intersects across AUs
    (each AU is mined once per pair and condition, however many expressions
    contain it; in ``per_au`` mode its full-span test and its test on that
-   selection also run once);
+   selection run in the same pass, and the expression votes over them);
 3. standardizes the expression signals over the kept frames and runs the
    Granger tests twice: once on the selected segments, once over the full
    kept span, so both columns of the report come from identical data;
@@ -75,6 +75,9 @@ from .timeseries import TimeSeries, standardize
 log = logging.getLogger(__name__)
 
 OUTCOME_KEYS = ("s_gc_r", "r_gc_s", "bidirectional", "none")
+
+#: a written selection holds one set per expression, not the set of each member AU
+_NO_GIVEN_PER_AU = "per_au mode tests each AU on its own mined selection; it takes no precomputed one"
 
 _OUTCOME_OF = {
     Direction.SENDER_CAUSES_RECEIVER: "s_gc_r",
@@ -355,8 +358,14 @@ def analyze_pair_condition(
     ``precomputed`` maps expression name to an already-selected interval set
     (for example from a previous ``intervals`` run); mining is skipped for
     those expressions. In ``per_au`` signal mode each member AU is tested on
-    its own intervals and the cell reports the majority outcome.
+    its own intervals and the cell reports the majority outcome; a given
+    selection holds one set per expression, not one per AU, so ``per_au``
+    refuses it.
     """
+    per_au_mode = config.signal_mode == "per_au"
+    if per_au_mode and precomputed is not None:
+        raise ConfigError(_NO_GIVEN_PER_AU)
+    precomputed = precomputed or {}
     pair_id = sender.participant_id.rsplit("-", 1)[0] or sender.participant_id
     condition = sender.condition
     params = config.interval_params()
@@ -372,62 +381,42 @@ def analyze_pair_condition(
         ]
     kept = pair.kept_frames.total_length()
     span = (int(pair.sender.frame_indices[0]), int(pair.sender.frame_indices[-1]))
+    exprs = [EXPRESSIONS_BY_NAME[name] for name in config.expressions]
 
-    # each AU's selection, mined once for all expressions (its runs are not kept),
-    # and in per_au mode its full-span test and its test on the mined selection
+    # mine stage: each member AU of an expression to mine, once, from its own
+    # runs; in per_au mode its full-span test and its test on its selection too
     mined: dict[int, IntervalSet] = {}
-    full_tests: dict[int, tuple] = {}
-    mined_tests: dict[int, tuple] = {}
-    per_au_mode = config.signal_mode == "per_au"
+    au_tests: dict[int, tuple] = {}
+    to_mine = {
+        au for e in exprs if e.available_in(AU_IDS) and e.name not in precomputed for au in e.au_ids
+    }
+    for au in sorted(to_mine):
+        row = AU_ROW[au]
+        runs = _kept_run_signals(pair, pair.sender.intensities[row], pair.receiver.intensities[row])
+        mined[au] = _mine_au(runs, params, span)
+        if per_au_mode:
+            au_tests[au] = (_run_gc(runs, config), _test_selected(runs, mined[au], config))
+
+    # test stage: each expression on its selection, by vote or on its mean signal
     cells = []
-    for name in config.expressions:
-        expr = EXPRESSIONS_BY_NAME.get(name)
-        if expr is None:
-            raise ConfigError(f"unknown expression {name!r}")
+    for expr in exprs:
         if not expr.available_in(AU_IDS):
             cells.append(
                 CellRecord(
-                    pair_id, condition, name, "skipped", "skipped", None, None, None, None,
+                    pair_id, condition, expr.name, "skipped", "skipped", None, None, None, None,
                     IntervalSet(), 0, kept, note="member AUs not present in recording",
                 )
             )
             continue
-
         aus = sorted(expr.au_ids)
-        given = precomputed is not None and name in precomputed
-        # member-AU runs, built only to mine an AU the first time or to test it
-        # on a given selection; an AU's full-span test and its test on its mined
-        # selection run while its runs are first built
-        runs_per_au = {
-            au: _kept_run_signals(
-                pair, pair.sender.intensities[AU_ROW[au]], pair.receiver.intensities[AU_ROW[au]]
-            )
-            for au in aus
-            if (per_au_mode and given) or not (given or au in mined)
-        }
-        if given:
-            selection = precomputed[name]
+        if expr.name in precomputed:
+            selection = precomputed[expr.name]
         else:
-            for au in aus:
-                if au not in mined:
-                    mined[au] = _mine_au(runs_per_au[au], params, span)
             selection = intersect_sets([mined[au] for au in aus])
-
         note = ""
         if per_au_mode:
-            sel_tests = []
-            for au in aus:
-                if au not in full_tests:
-                    full_tests[au] = _run_gc(runs_per_au[au], config)
-                if given:
-                    # the selection differs from expression to expression: no reuse
-                    sel_tests.append(_test_selected(runs_per_au[au], selection, config))
-                    continue
-                if au not in mined_tests:
-                    mined_tests[au] = _test_selected(runs_per_au[au], mined[au], config)
-                sel_tests.append(mined_tests[au])
-            full_status, full_outcome, n_full = _vote([full_tests[au] for au in aus])
-            sel_status, sel_outcome, n_sel = _vote(sel_tests)
+            full_status, full_outcome, n_full = _vote([au_tests[au][0] for au in aus])
+            sel_status, sel_outcome, n_sel = _vote([au_tests[au][1] for au in aus])
             full_result = sel_result = None
             note = f"per_au majority over {n_full} full / {n_sel} selected AU tests"
         else:
@@ -440,18 +429,8 @@ def analyze_pair_condition(
             sel_outcome = None if sel_result is None else sel_result.outcome
         cells.append(
             CellRecord(
-                pair_id,
-                condition,
-                name,
-                full_status,
-                sel_status,
-                full_result,
-                sel_result,
-                full_outcome,
-                sel_outcome,
-                selection,
-                sum(iv.length for iv in selection),
-                kept,
+                pair_id, condition, expr.name, full_status, sel_status, full_result, sel_result,
+                full_outcome, sel_outcome, selection, sum(iv.length for iv in selection), kept,
                 note=note,
             )
         )
@@ -475,8 +454,11 @@ def run_pipeline(
     """Execute the full batch and assemble the report.
 
     ``precomputed_intervals`` maps (pair_id, condition, expression) to a
-    ready-made interval selection, bypassing the mining stage for those cells.
+    ready-made interval selection, bypassing the mining stage for those cells;
+    ``per_au`` mode refuses it before any recording is read.
     """
+    if precomputed_intervals is not None and config.signal_mode == "per_au":
+        raise ConfigError(_NO_GIVEN_PER_AU)
     if not manifest.rows:
         log.warning("empty manifest: nothing to analyze")
         return PipelineResult((), (), (), config)
@@ -487,21 +469,7 @@ def run_pipeline(
             row.path, f"{row.pair_id}-{row.role}", row.condition, row.role
         )
 
-    # per-participant baselines across available conditions (for occurrence counts)
-    baselines: dict[tuple[str, str], AUBaseline] = {}
-    for pair_id in manifest.pair_ids():
-        for role in ROLES:
-            # the manifest holds both roles of every (pair, condition) it lists
-            recs = [recordings[(pair_id, role, c)] for c in manifest.conditions_of(pair_id)]
-            base = baseline_stats(recs)
-            if not base.complete:
-                log.warning(
-                    "%s-%s: baseline pooled over %d condition(s) only",
-                    pair_id, role, base.n_conditions,
-                )
-            baselines[(pair_id, role)] = base
-
-    occurrence = _occurrence_rows(manifest, recordings, baselines, config)
+    occurrence = _occurrence_rows(manifest, recordings, config)
 
     tasks = []
     for pair_id in manifest.pair_ids():
@@ -532,18 +500,33 @@ def run_pipeline(
     return PipelineResult(reports, cells, occurrence, config)
 
 
-def _occurrence_rows(manifest, recordings, baselines, config) -> tuple[ComparisonRow, ...]:
-    """Normalized activation counts per participant, then Wilcoxon + BH."""
+def _occurrence_rows(manifest, recordings, config) -> tuple[ComparisonRow, ...]:
+    """Normalized activation counts per participant, then Wilcoxon + BH.
+
+    Each participant's baseline pools the conditions the manifest lists for it.
+    """
+    baselines: dict[tuple[str, str], AUBaseline] = {}
+    for pair_id in manifest.pair_ids():
+        for role in ROLES:
+            # the manifest holds both roles of every (pair, condition) it lists
+            recs = [recordings[(pair_id, role, c)] for c in manifest.conditions_of(pair_id)]
+            base = baseline_stats(recs)
+            if not base.complete:
+                log.warning(
+                    "%s-%s: baseline pooled over %d condition(s) only",
+                    pair_id, role, base.n_conditions,
+                )
+            baselines[(pair_id, role)] = base
+
     computable = [e for e in EXPRESSIONS if e.available_in(AU_IDS)]
     raw: dict[str, dict[str, dict[str, float]]] = {}
     for (pair_id, role, cond), rec in sorted(recordings.items()):
         base = baselines[(pair_id, role)]
-        masks = au_activation(rec, base, config.activation_factor)
+        active = au_activation(rec, base, config.activation_factor)
         participant = f"{pair_id}-{role}"
         for expr in computable:
-            mask = expression_activation(masks, expr)
             raw.setdefault(participant, {}).setdefault(cond, {})[expr.name] = (
-                count_activations(mask, rec.n_frames)
+                count_activations(expression_activation(active, expr), rec.n_frames)
             )
     # cohort-level normalization by the per-expression maximum
     max_count: dict[str, float] = {}

@@ -1,4 +1,4 @@
-"""Frame-aligned signal containers and correlation/filter primitives.
+"""Frame-aligned signal containers, standardization and the mask filter.
 
 Conventions used package-wide:
 
@@ -98,10 +98,6 @@ class BinaryMask:
             raise ShapeError("empty mask has no end frame")
         return self.start_frame + len(self) - 1
 
-    def count(self) -> int:
-        """Number of active frames."""
-        return int(self.bits.sum())
-
     def runs(self) -> list[tuple[int, int]]:
         """Closed intervals (absolute frames) of consecutive active bits."""
         if not len(self):
@@ -128,23 +124,6 @@ def standardize(x: TimeSeries) -> TimeSeries:
     return TimeSeries((x.values - mean) / std, x.start_frame)
 
 
-def pearson(x: TimeSeries, y: TimeSeries) -> float:
-    """Sample Pearson correlation of two equal-length series.
-
-    Returns 0 when either series is constant.
-    """
-    if len(x) != len(y):
-        raise ShapeError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) < 2:
-        raise ShapeError("pearson needs at least 2 samples")
-    xd = x.values - x.values.mean()
-    yd = y.values - y.values.mean()
-    denom = float(np.sqrt(np.dot(xd, xd) * np.dot(yd, yd)))
-    if denom < STD_FLOOR:
-        return 0.0
-    return float(np.clip(np.dot(xd, yd) / denom, -1.0, 1.0))
-
-
 def median_filter(m: BinaryMask, kernel: int) -> BinaryMask:
     """Majority-vote filter over a centered window of ``kernel`` frames.
 
@@ -165,20 +144,3 @@ def median_filter(m: BinaryMask, kernel: int) -> BinaryMask:
     ones = csum[hi + 1] - csum[lo]
     width = hi - lo + 1
     return BinaryMask(2 * ones > width, m.start_frame)
-
-
-def shift(x: TimeSeries, s: int) -> TimeSeries:
-    """Delay (``s > 0``) or advance (``s < 0``) a series by ``s`` frames.
-
-    Only the part overlapping the original support is kept, so the result is
-    ``|s|`` samples shorter and ``start_frame`` moves so that sample ``t`` of
-    the output still sits at its true frame position: output frame ``t``
-    carries ``x[t - s]``.
-    """
-    if abs(s) >= len(x):
-        raise ShapeError(f"shift {s} too large for series of length {len(x)}")
-    if s == 0:
-        return x
-    if s > 0:
-        return TimeSeries(x.values[:-s], x.start_frame + s)
-    return TimeSeries(x.values[-s:], x.start_frame)

@@ -223,6 +223,19 @@ class TestParse:
         with pytest.raises(FormatError):
             parse_text(tmp_path, csv_text(rows))
 
+    # the bad byte sits in the header, in the first data row, or in a row
+    # thousands of bytes in, past the text the header read decodes
+    @pytest.mark.parametrize("line", [0, 1, 1500])
+    def test_non_utf8_byte_is_a_format_error(self, line, tmp_path):
+        rows = [[i + 1, 0.95] + [0.25] * len(AU_IDS) for i in range(2000)]
+        lines = csv_text(rows).encode().split(b"\n")
+        lines[line] += b",\xff\xfe"
+        path = tmp_path / "rec.csv"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match="not UTF-8") as exc:
+            parse_au_csv(path)
+        assert str(path) in str(exc.value)
+
     @pytest.mark.parametrize("name", sorted(FAST_CASES) + sorted(EDGE_CASES))
     def test_matches_reference_parser(self, name, tmp_path, monkeypatch):
         path = tmp_path / f"{name}.csv"
@@ -410,8 +423,9 @@ class TestActivation:
     def test_boundary_inclusive_at_zero_std(self):
         rec = make_recording(5, au_values={6: np.full(5, 2.0)})
         base = baseline_stats([rec])
-        masks = au_activation(rec, base)
-        assert masks[6].bits.all()  # intensity == mean and std == 0: >= holds
+        active = au_activation(rec, base)
+        assert active.shape == (len(AU_IDS), 5)
+        assert active[AU_ROW[6]].all()  # intensity == mean and std == 0: >= holds
 
     def test_threshold_arithmetic(self):
         rec = make_recording(2, au_values={6: [1.9, 2.0]})
@@ -419,15 +433,16 @@ class TestActivation:
         base = baseline_stats([base_rec])
         # mean 1, std ~2.0254: threshold slightly above 2.0 at factor 0.5
         thr = base.mean[AU_ROW[6]] + 0.5 * base.std[AU_ROW[6]]
-        masks = au_activation(rec, base)
-        np.testing.assert_array_equal(masks[6].bits, np.array([1.9, 2.0]) >= thr)
+        active = au_activation(rec, base)
+        np.testing.assert_array_equal(active[AU_ROW[6]], np.array([1.9, 2.0]) >= thr)
 
     def test_single_run_for_single_crossing(self):
         vals = np.concatenate([np.zeros(10), np.full(5, 5.0), np.zeros(10)])
         rec = make_recording(25, au_values={6: vals})
         base = baseline_stats([rec])
-        masks = au_activation(rec, base)
-        assert masks[6].runs() == [(11, 15)]
+        active = au_activation(rec, base)
+        # columns start at the recording's first frame, 1
+        assert BinaryMask(active[AU_ROW[6]], 1).runs() == [(11, 15)]
 
     def test_raising_factor_is_monotone(self):
         rng = np.random.default_rng(1)
@@ -435,38 +450,37 @@ class TestActivation:
         base = baseline_stats([rec])
         low = au_activation(rec, base, factor=0.25)
         high = au_activation(rec, base, factor=1.0)
-        for a in AU_IDS:
-            assert not (high[a].bits & ~low[a].bits).any()
+        assert not (high & ~low).any()
 
     def test_and_semantics(self):
         rng = np.random.default_rng(2)
         rec = make_recording(100, au_values={a: rng.random(100) * 5 for a in AU_IDS})
         base = baseline_stats([rec])
-        masks = au_activation(rec, base)
+        active = au_activation(rec, base)
         expr = EXPRESSIONS_BY_NAME["sadness_lower"]
-        combined = expression_activation(masks, expr)
-        np.testing.assert_array_equal(combined.bits, masks[15].bits & masks[17].bits)
+        combined = expression_activation(active, expr)
+        np.testing.assert_array_equal(combined, active[AU_ROW[15]] & active[AU_ROW[17]])
 
     def test_absorbing_inactive_au(self):
-        masks = {
-            15: BinaryMask(np.ones(10, dtype=bool), 1),
-            17: BinaryMask(np.zeros(10, dtype=bool), 1),
-        }
-        out = expression_activation(masks, EXPRESSIONS_BY_NAME["sadness_lower"])
-        assert not out.bits.any()
+        active = np.ones((len(AU_IDS), 10), dtype=bool)
+        active[AU_ROW[17]] = False
+        out = expression_activation(active, EXPRESSIONS_BY_NAME["sadness_lower"])
+        assert out.shape == (10,)
+        assert not out.any()
 
     def test_single_au_expression_identity(self):
         rng = np.random.default_rng(3)
         rec = make_recording(50, au_values={6: rng.random(50) * 5})
         base = baseline_stats([rec])
-        masks = au_activation(rec, base)
-        out = expression_activation(masks, EXPRESSIONS_BY_NAME["happiness_upper"])
-        np.testing.assert_array_equal(out.bits, masks[6].bits)
+        active = au_activation(rec, base)
+        out = expression_activation(active, EXPRESSIONS_BY_NAME["happiness_upper"])
+        np.testing.assert_array_equal(out, active[AU_ROW[6]])
 
     def test_missing_mask_rejected(self):
+        # AU24 has no row: OpenFace records no intensity for it
         with pytest.raises(ConfigError):
-            expression_activation({15: BinaryMask(np.ones(3, dtype=bool))},
-                                  EXPRESSIONS_BY_NAME["sadness_lower"])
+            expression_activation(np.ones((len(AU_IDS), 3), dtype=bool),
+                                  EXPRESSIONS_BY_NAME["anger_lower"])
 
 
 class TestExpressionSignal:
@@ -502,16 +516,16 @@ class TestExpressionSignal:
 
 class TestCounting:
     def test_empty_mask(self):
-        assert count_activations(BinaryMask(np.zeros(100, dtype=bool)), 100) == 0.0
+        assert count_activations(np.zeros(100, dtype=bool), 100) == 0.0
 
     def test_published_order_of_magnitude(self):
         bits = np.zeros(1000, dtype=bool)
         bits[:129] = True
-        assert count_activations(BinaryMask(bits), 1000) == pytest.approx(0.129)
+        assert count_activations(bits, 1000) == pytest.approx(0.129)
 
     def test_full_mask(self):
-        assert count_activations(BinaryMask(np.ones(50, dtype=bool)), 50) == 1.0
+        assert count_activations(np.ones(50, dtype=bool), 50) == 1.0
 
     def test_bad_video_len(self):
         with pytest.raises(ConfigError):
-            count_activations(BinaryMask(np.ones(5, dtype=bool)), 0)
+            count_activations(np.ones(5, dtype=bool), 0)

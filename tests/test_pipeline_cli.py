@@ -29,6 +29,16 @@ def cohort(tmp_path_factory):
     return manifest_path
 
 
+def _manifest_of_missing_files(tmp_path):
+    """A valid manifest whose CSV files do not exist: reading one raises FormatError."""
+    path = tmp_path / "missing.csv"
+    path.write_text(
+        "pair_id,role,condition,path\n"
+        "a,sender,contempt,nope_s.csv\na,receiver,contempt,nope_r.csv\n"
+    )
+    return path
+
+
 @pytest.fixture(scope="module")
 def result(cohort):
     manifest = Manifest.load(cohort)
@@ -66,6 +76,22 @@ class TestConfig:
             AnalysisConfig(gc_mode="bogus")
         with pytest.raises(ConfigError):
             AnalysisConfig(median_kernel=10)
+
+    def test_unknown_expression_rejected_when_built(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="nonsense"):
+            AnalysisConfig(expressions=("happiness_lower", "nonsense"))
+        path = tmp_path / "cfg.txt"
+        path.write_text("expressions = nonsense\n")
+        with pytest.raises(ConfigError, match="nonsense"):
+            load_config(path)
+        # registered but not computable from OpenFace output: valid, and skipped per cell
+        assert AnalysisConfig(expressions=("anger_lower",)).expressions == ("anger_lower",)
+        # the CLI stops at the config, before it reads a recording
+        manifest = _manifest_of_missing_files(tmp_path)
+        argv = ["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--expressions", "nonsense"]) == 2
+        assert "unknown expressions ['nonsense']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestManifest:
@@ -319,13 +345,13 @@ class TestPerAUTestsOnce:
     def _outcomes(cell):
         return (cell.full_status, cell.sel_status, cell.full_outcome, cell.sel_outcome, cell.note)
 
-    def _alone(self, monkeypatch, sender, receiver, cfg, precomputed=None):
+    def _alone(self, monkeypatch, sender, receiver, cfg):
         """Each expression run on its own: its cell and its select_order inputs."""
         calls = self._count_orders(monkeypatch)
         cells, inputs = [], []
         for name in cfg.expressions:
             (cell,) = analyze_pair_condition(
-                sender, receiver, with_overrides(cfg, expressions=(name,)), precomputed
+                sender, receiver, with_overrides(cfg, expressions=(name,))
             )
             cells.append(cell)
             inputs.append(list(calls))
@@ -354,16 +380,28 @@ class TestPerAUTestsOnce:
         assert len(calls) == len(inputs[0]) + len(inputs[1]) - 2
         assert [self._outcomes(c) for c in cells] == [self._outcomes(c) for c in alone]
 
-    def test_precomputed_expression_runs_its_own_tests(self, monkeypatch):
+    def test_precomputed_selection_is_refused(self, tmp_path, capsys):
+        # a written selection is one set per expression, not each member AU's own
         sender, receiver = _pair_with_kept(400, self.KEPT)
-        cfg = AnalysisConfig(expressions=("happiness_lower", "fear_lower"), signal_mode="per_au")
+        cfg = AnalysisConfig(expressions=("happiness_lower",), signal_mode="per_au")
         given = {"happiness_lower": IntervalSet((Interval(20, 180),))}
-        alone, inputs, calls = self._alone(monkeypatch, sender, receiver, cfg, given)
-        cells = analyze_pair_condition(sender, receiver, cfg, precomputed=given)
-        # AU25's full-span test runs once; each expression tests its own selection
-        assert len(calls) == len(set(calls)) == len(inputs[0]) + len(inputs[1]) - 1
-        assert calls == inputs[0] + [c for c in inputs[1] if c not in inputs[0]]
-        assert [self._outcomes(c) for c in cells] == [self._outcomes(c) for c in alone]
+        with pytest.raises(ConfigError, match="per_au"):
+            analyze_pair_condition(sender, receiver, cfg, precomputed=given)
+        # refused before any recording is read: no FormatError for the missing files
+        manifest_path = _manifest_of_missing_files(tmp_path)
+        manifest = Manifest.load(manifest_path)
+        pre = {("a", "contempt", "happiness_lower"): given["happiness_lower"]}
+        with pytest.raises(ConfigError, match="per_au"):
+            run_pipeline(manifest, cfg, precomputed_intervals=pre)
+        ivdir = tmp_path / "iv"
+        ivdir.mkdir()
+        (ivdir / "a_contempt_happiness_lower.tsv").write_text(given["happiness_lower"].to_tsv())
+        out = tmp_path / "out"
+        argv = ["granger", "--manifest", str(manifest_path), "--out", str(out),
+                "--intervals-dir", str(ivdir), "--signal-mode", "per_au"]
+        assert main(argv) == 2
+        assert "per_au" in capsys.readouterr().err
+        assert not (out / "results.jsonl").exists()
 
 
 class TestEmitReport:
@@ -463,6 +501,16 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "manifest valid" not in captured.out
         assert "receiver.csv: bad value in row 5: AU45_r is nan" in captured.err
+
+    def test_ingest_rejects_a_non_utf8_file(self, tmp_path, capsys):
+        manifest = make_demo_cohort(tmp_path / "c", n_pairs=1, length=600, seed=5)
+        bad = tmp_path / "c" / "pair01_contempt_receiver.csv"
+        with bad.open("ab") as fh:
+            fh.write(b"\xff\xfe")
+        assert main(["ingest", "--manifest", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert "manifest valid" not in captured.out
+        assert f"error: {bad}: not UTF-8 text" in captured.err
 
     def test_frame_gap_is_reported_and_counted_over_present_frames(
         self, tmp_path, capsys, monkeypatch

@@ -20,6 +20,7 @@ from dyadgc.synth import (
     gen_window_pair,
     make_demo_cohort,
 )
+from dyadgc.timeseries import BinaryMask
 
 
 def lagged_corr(x, y, lag):
@@ -126,11 +127,12 @@ class TestAUFixture:
         spec, (s_path, _, _) = self.make(tmp_path, swing=0.0, onset=0)
         rec = parse_au_csv(s_path, "p01", "respectful", "sender")
         base = baseline_stats([rec])
-        mask = expression_activation(
+        active = expression_activation(
             au_activation(rec, base), EXPRESSIONS_BY_NAME["happiness_lower"]
         )
-        # CSV frames are 1-based
-        assert mask.runs() == [(iv.start + 1, iv.end + 1) for iv in spec.active_intervals]
+        # CSV frames are 1-based, and the activation columns start at the first frame
+        runs = BinaryMask(active, rec.frame_indices[0]).runs()
+        assert runs == [(iv.start + 1, iv.end + 1) for iv in spec.active_intervals]
 
     def test_low_confidence_frames_dropped_by_sync(self, tmp_path):
         spec, (s_path, r_path, truths) = self.make(tmp_path, low_conf_frames=(10, 11, 700))

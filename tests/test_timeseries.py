@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dyadgc.errors import ConfigError, DegenerateSeries, ShapeError
-from dyadgc.timeseries import BinaryMask, TimeSeries, median_filter, pearson, shift, standardize
+from dyadgc.timeseries import BinaryMask, TimeSeries, median_filter, standardize
 
-from oracles import oracle_majority_filter, oracle_pearson
+from oracles import oracle_majority_filter
 
 
 def ts(values, start=0):
@@ -60,53 +58,6 @@ class TestStandardize:
             standardize(ts([1.0]))
 
 
-class TestPearson:
-    def test_self_correlation(self):
-        x = ts([1, 2, 4, 3])
-        assert pearson(x, x) == pytest.approx(1.0)
-
-    def test_sign_flip(self):
-        x = ts([1, 2, 4, 3])
-        y = ts([-1, -2, -4, -3])
-        assert pearson(x, y) == pytest.approx(-1.0)
-
-    def test_direct_formula(self):
-        x = ts([1, 2, 3, 4])
-        y = ts([2, 4, 6, 8.5])
-        assert pearson(x, y) == pytest.approx(oracle_pearson(x.values, y.values), abs=1e-12)
-
-    def test_constant_is_zero(self):
-        assert pearson(ts([1, 1, 1]), ts([1, 2, 3])) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            pearson(ts([1, 2]), ts([1, 2, 3]))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_symmetry_and_bound(self, seed):
-        rng = np.random.default_rng(seed)
-        x = ts(rng.normal(size=25))
-        y = ts(rng.normal(size=25))
-        r = pearson(x, y)
-        assert r == pearson(y, x)
-        assert abs(r) <= 1 + 1e-12
-
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.floats(0.01, 100.0),
-        st.floats(-50.0, 50.0),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_positive_affine_invariance(self, seed, scale, offset):
-        rng = np.random.default_rng(seed)
-        xv = rng.normal(size=30)
-        y = ts(rng.normal(size=30))
-        r1 = pearson(ts(xv), y)
-        r2 = pearson(ts(scale * xv + offset), y)
-        assert r1 == pytest.approx(r2, abs=1e-9)
-
-
 class TestMedianFilter:
     def test_all_true_unchanged(self):
         m = BinaryMask(np.ones(200, dtype=bool))
@@ -136,33 +87,3 @@ class TestMedianFilter:
         once = median_filter(BinaryMask(bits), 3)
         twice = median_filter(once, 3)
         assert np.array_equal(once.bits, twice.bits)
-
-
-class TestShift:
-    def test_zero_is_identity(self):
-        x = ts([1, 2, 3, 4])
-        assert shift(x, 0) is x
-
-    def test_alignment_bookkeeping(self):
-        x = ts([1, 2, 3, 4], start=0)
-        delayed = shift(x, 1)
-        assert delayed.start_frame == 1
-        assert list(delayed.values) == [1, 2, 3]
-        # aligned overlap against the unshifted series: (1,2), (2,3), (3,4)
-        pairs = [
-            (delayed.values[k], x.values[delayed.start_frame - x.start_frame + k])
-            for k in range(len(delayed))
-        ]
-        assert pairs == [(1, 2), (2, 3), (3, 4)]
-
-    def test_round_trip_restores_overlap(self):
-        # each trim cuts |s| frames, so the round trip is x on [start+s, end-s]
-        x = ts(list(range(10)), start=0)
-        back = shift(shift(x, 3), -3)
-        assert back.start_frame == 3
-        assert list(back.values) == [3, 4, 5, 6]
-        np.testing.assert_array_equal(back.values, x.slice_frames(3, 6).values)
-
-    def test_shift_too_large(self):
-        with pytest.raises(ShapeError):
-            shift(ts([1, 2, 3]), 3)
