@@ -1,9 +1,10 @@
 """Batch command-line interface.
 
-Subcommands: ``ingest`` (validate inputs), ``intervals`` (emit selected
-intervals per cell), ``granger`` (GC records, full span or interval
-selected), ``pipeline`` (end to end), ``synth`` (generate a demo cohort),
-``report`` (re-emit tables from a saved report).
+Subcommands: ``ingest`` (validate inputs), ``intervals`` (mine and emit the
+selected intervals per cell), ``granger`` (GC records, full span or interval
+selected, on mined or written intervals), ``pipeline`` (every stage, end to
+end), ``synth`` (generate a demo cohort), ``report`` (re-emit tables from a
+saved report).
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -17,15 +18,19 @@ import sys
 from pathlib import Path
 
 from .config import AnalysisConfig, load_config, with_overrides
-from .errors import AnalysisError
+from .errors import AnalysisError, FormatError
 from .pipeline import (
     Manifest,
     PipelineResult,
+    analyze_cells,
     emit_report,
     emit_tables,
+    load_recordings,
+    mine_selections,
+    read_selections,
     report_from_dict,
-    report_to_dict,
     run_pipeline,
+    selection_path,
 )
 from .synth import make_demo_cohort
 
@@ -33,7 +38,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-log = logging.getLogger("dyadgc")
+#: the test numbers a ``granger`` record carries
+_GC_FIELDS = ("f_y_causes_x", "p_y_causes_x", "f_x_causes_y", "p_x_causes_y", "order", "n_effective")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +50,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_analysis_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """A subcommand that analyzes a manifest into ``--out``, with every config flag."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    p.add_argument("--manifest", required=True, type=Path)
+    p.add_argument("--out", required=True, type=Path)
     p.add_argument("--config", type=Path, help="flat key = value config file")
     p.add_argument("--alpha", type=float, help="significance level for the GC tests")
     p.add_argument("--beta", type=float, help="correlation threshold for interval mining")
@@ -59,6 +70,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--expressions", help="comma-separated expression names")
     p.add_argument("--m-max", type=int, dest="m_max", help="maximum VAR order")
     p.add_argument("--workers", type=int, help="parallel worker processes")
+    return p
 
 
 def _build_config(args) -> AnalysisConfig:
@@ -78,16 +90,13 @@ def _build_config(args) -> AnalysisConfig:
 
 def _cmd_ingest(args) -> int:
     manifest = Manifest.load(args.manifest)
-    from .au_features import parse_au_csv
-
     n_frames = 0
-    for row in manifest.rows:
-        rec = parse_au_csv(row.path, f"{row.pair_id}-{row.role}", row.condition, row.role)
+    for (pair_id, role, condition), rec in load_recordings(manifest).items():
         n_frames += rec.n_frames
         idx = rec.frame_indices
         gaps = int((idx[1:] - idx[:-1] > 1).sum())
         note = f", {int(idx[-1] - idx[0]) + 1 - len(idx)} missing in {gaps} gap(s)" if gaps else ""
-        print(f"ok {row.pair_id} {row.role} {row.condition}: {rec.n_frames} frames{note}")
+        print(f"ok {pair_id} {role} {condition}: {rec.n_frames} frames{note}")
     print(f"manifest valid: {len(manifest.rows)} recordings, {n_frames} frames total")
     return EXIT_OK
 
@@ -95,56 +104,39 @@ def _cmd_ingest(args) -> int:
 def _cmd_intervals(args) -> int:
     manifest = Manifest.load(args.manifest)
     config = _build_config(args)
-    result = run_pipeline(manifest, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for cell in result.cells:
-        path = out / f"{cell.pair_id}_{cell.condition}_{cell.expression}.tsv"
-        path.write_text(cell.intervals.to_tsv())
-        print(f"{path}: {len(cell.intervals)} intervals, {cell.selected_frames} frames")
+    selections = mine_selections(manifest, load_recordings(manifest), config)
+    args.out.mkdir(parents=True, exist_ok=True)
+    for (pair_id, condition), per_expr in selections.items():
+        for expression, selection in per_expr.items():
+            path = selection_path(args.out, pair_id, condition, expression)
+            path.write_text(selection.to_tsv())
+            print(f"{path}: {len(selection)} intervals, {selection.total_length()} frames")
     return EXIT_OK
 
 
 def _cmd_granger(args) -> int:
     manifest = Manifest.load(args.manifest)
     config = _build_config(args)
-    precomputed = None
+    selections = None
     if args.intervals_dir:
-        from .intervals import IntervalSet
-
-        precomputed = {}
-        for tsv in Path(args.intervals_dir).glob("*.tsv"):
-            # {pair}_{condition}_{emotion}_{half}.tsv; expression = last two tokens
-            tokens = tsv.stem.split("_")
-            if len(tokens) < 4:
-                continue
-            key = ("_".join(tokens[:-3]), tokens[-3], "_".join(tokens[-2:]))
-            precomputed[key] = IntervalSet.from_tsv(tsv.read_text())
-    result = run_pipeline(manifest, config, precomputed_intervals=precomputed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "results.jsonl"
+        selections = read_selections(args.intervals_dir, manifest, config)
+    cells = analyze_cells(manifest, load_recordings(manifest), config, selections)
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "results.jsonl"
     side = "full" if args.full_span else "selected"
     with path.open("w") as fh:
-        for c in result.cells:
-            status = c.full_status if args.full_span else c.sel_status
+        for c in cells:
             gc = c.full_result if args.full_span else c.sel_result
             outcome = c.full_outcome if args.full_span else c.sel_outcome
-            fh.write(json.dumps({
-                "pair_id": c.pair_id,
-                "condition": c.condition,
-                "expression": c.expression,
-                "method": side,
-                "status": status,
-                "f_y_causes_x": None if gc is None else gc.f_y_causes_x,
-                "p_y_causes_x": None if gc is None else gc.p_y_causes_x,
-                "f_x_causes_y": None if gc is None else gc.f_x_causes_y,
-                "p_x_causes_y": None if gc is None else gc.p_x_causes_y,
-                "order": None if gc is None else gc.order,
-                "n_effective": None if gc is None else gc.n_effective,
+            record = {
+                "pair_id": c.pair_id, "condition": c.condition, "expression": c.expression,
+                "method": side, "status": c.full_status if args.full_span else c.sel_status,
                 "outcome": None if outcome is None else outcome.value,
-            }, sort_keys=True) + "\n")
-    print(f"wrote {path} ({side} span, {len(result.cells)} cells)")
+            }
+            for key in _GC_FIELDS:
+                record[key] = None if gc is None else getattr(gc, key)
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    print(f"wrote {path} ({side} span, {len(cells)} cells)")
     return EXIT_OK
 
 
@@ -152,8 +144,6 @@ def _cmd_pipeline(args) -> int:
     manifest = Manifest.load(args.manifest)
     config = _build_config(args)
     result = run_pipeline(manifest, config)
-    if not result.cells:
-        log.warning("empty manifest produced an empty report")
     written = emit_report(result, args.out)
     for rep in result.reports:
         for row in rep.rows:
@@ -176,12 +166,17 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    data = json.loads(Path(args.results).read_text())
-    reports, occurrence = report_from_dict(data)
-    cfg_raw = {
-        k: tuple(v) if isinstance(v, list) else v for k, v in data["config"].items()
-    }
-    result = PipelineResult(reports, (), occurrence, AnalysisConfig(**cfg_raw))
+    try:
+        data = json.loads(args.results.read_text())
+        reports, occurrence = report_from_dict(data)
+        config = AnalysisConfig(
+            **{k: tuple(v) if isinstance(v, list) else v for k, v in data["config"].items()}
+        )
+    except (ValueError, LookupError, TypeError, AttributeError, AnalysisError) as exc:
+        raise FormatError(
+            f"{args.results}: not a saved report.json ({type(exc).__name__}: {exc})"
+        ) from exc
+    result = PipelineResult(reports, (), occurrence, config)
     written = emit_tables(result, args.out, formats=(args.format,))
     print(f"wrote {len(written)} files under {args.out}")
     return EXIT_OK
@@ -196,28 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, type=Path)
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("intervals", help="emit selected interval sets per cell")
-    p.add_argument("--manifest", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_intervals)
-
-    p = sub.add_parser("granger", help="GC records on intervals or the full span")
-    p.add_argument("--manifest", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
+    _add_analysis_command(sub, "intervals", _cmd_intervals, "emit selected interval sets per cell")
+    p = _add_analysis_command(sub, "granger", _cmd_granger, "GC records on intervals or the full span")
     p.add_argument("--full-span", action="store_true",
                    help="report the full-span GC instead of the interval-selected one")
     p.add_argument("--intervals-dir", type=Path,
-                   help="reuse interval sets from a previous 'intervals' run "
-                        "(refused with --signal-mode per_au)")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_granger)
-
-    p = sub.add_parser("pipeline", help="end-to-end batch analysis")
-    p.add_argument("--manifest", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_pipeline)
+                   help="test on the interval sets of a previous 'intervals' run, "
+                        "one TSV per cell (refused with --signal-mode per_au)")
+    _add_analysis_command(sub, "pipeline", _cmd_pipeline, "end-to-end batch analysis")
 
     p = sub.add_parser("synth", help="generate a synthetic demo cohort")
     p.add_argument("--out", required=True, type=Path)

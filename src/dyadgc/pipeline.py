@@ -1,20 +1,20 @@
 """Manifest-driven batch analysis and report assembly.
 
-For every interaction pair, condition, and expression the driver:
+The batch is a chain of stages, and each command runs only the ones it needs:
 
-1. parses both OpenFace CSVs and synchronizes them by tracker confidence
-   (frames below the cutoff are dropped for both sides; the surviving runs
-   act as hard boundaries for all windowed computation);
-2. mines relevant intervals per member AU across the shift grid, median
-   filters and extends each AU's selection, and intersects across AUs
-   (each AU is mined once per pair and condition, however many expressions
-   contain it; in ``per_au`` mode its full-span test and its test on that
-   selection run in the same pass, and the expression votes over them);
-3. standardizes the expression signals over the kept frames and runs the
-   Granger tests twice: once on the selected segments, once over the full
-   kept span, so both columns of the report come from identical data;
-4. counts the four-way outcomes into per-condition tables and runs the
-   occurrence comparison (Wilcoxon + Benjamini-Hochberg) across conditions.
+1. :func:`load_recordings` parses every OpenFace CSV of the manifest;
+2. ``_occurrence_rows`` counts expression activations against each
+   participant's baseline and compares conditions (Wilcoxon + BH);
+3. per pair and condition, both recordings are synchronized by tracker
+   confidence (the surviving runs bound all windowed computation), then
+   relevant intervals are mined per member AU over the shift grid, median
+   filtered, extended and intersected across the expression's AUs (each AU
+   once per pair and condition; ``_mine_task`` stops here);
+4. :func:`analyze_pair_condition` runs the Granger tests on the selected
+   segments and over the full kept span, on the same standardized signals,
+   each selection mined or written by an earlier run; in ``per_au`` mode each
+   AU's two tests run in its mine pass and the expression votes over them;
+5. the outcomes are counted into per-condition tables.
 
 Cells that fail (degenerate fits, not enough samples) are recorded and
 excluded from the table counts instead of aborting the batch; cells where no
@@ -53,6 +53,7 @@ from .au_features import (
 )
 from .config import AnalysisConfig
 from .errors import (
+    AnalysisError,
     ConfigError,
     EmptyOverlap,
     FormatError,
@@ -77,7 +78,7 @@ log = logging.getLogger(__name__)
 OUTCOME_KEYS = ("s_gc_r", "r_gc_s", "bidirectional", "none")
 
 #: a written selection holds one set per expression, not the set of each member AU
-_NO_GIVEN_PER_AU = "per_au mode tests each AU on its own mined selection; it takes no precomputed one"
+_NO_GIVEN_PER_AU = "per_au mode tests each AU on its own mined selection; it takes no written one"
 
 _OUTCOME_OF = {
     Direction.SENDER_CAUSES_RECEIVER: "s_gc_r",
@@ -132,14 +133,8 @@ class Manifest:
                 csv_path = Path(rec["path"])
                 if not csv_path.is_absolute():
                     csv_path = path.parent / csv_path
-                rows.append(
-                    ManifestRow(
-                        rec["pair_id"].strip(),
-                        rec["role"].strip(),
-                        rec["condition"].strip(),
-                        csv_path,
-                    )
-                )
+                ids = (rec[k].strip() for k in ("pair_id", "role", "condition"))
+                rows.append(ManifestRow(*ids, csv_path))
         return cls(tuple(rows))
 
     def pair_ids(self) -> list[str]:
@@ -147,6 +142,10 @@ class Manifest:
 
     def conditions_of(self, pair_id: str) -> list[str]:
         return sorted({r.condition for r in self.rows if r.pair_id == pair_id})
+
+    def pair_conditions(self) -> list[tuple[str, str]]:
+        """Every listed (pair_id, condition), in the order the batch runs them."""
+        return [(p, c) for p in self.pair_ids() for c in self.conditions_of(p)]
 
 
 @dataclass(frozen=True)
@@ -347,74 +346,78 @@ def _vote(tests) -> tuple[str, Direction | None, int]:
     return "ok", _majority(votes), len(votes)
 
 
+def _expressions(config: AnalysisConfig):
+    return [EXPRESSIONS_BY_NAME[name] for name in config.expressions]
+
+
+def _mine(pair: SyncedPair, config: AnalysisConfig, with_tests: bool):
+    """Mine stage: each computable expression's selection, the intersection of its AUs'.
+
+    Each distinct member AU is mined once, from its own runs. ``with_tests``
+    (``per_au`` mode) also runs the AU's full-span test and its test on its
+    own selection there, on the same runs. Returns the selections by
+    expression name and the AU tests by AU id.
+    """
+    exprs = [e for e in _expressions(config) if e.available_in(AU_IDS)]
+    params = config.interval_params()
+    span = (int(pair.sender.frame_indices[0]), int(pair.sender.frame_indices[-1]))
+    mined: dict[int, IntervalSet] = {}
+    au_tests: dict[int, tuple] = {}
+    for au in sorted({au for e in exprs for au in e.au_ids}):
+        row = AU_ROW[au]
+        runs = _kept_run_signals(pair, pair.sender.intensities[row], pair.receiver.intensities[row])
+        mined[au] = _mine_au(runs, params, span)
+        if with_tests:
+            au_tests[au] = (_run_gc(runs, config), _test_selected(runs, mined[au], config))
+    selections = {e.name: intersect_sets([mined[au] for au in sorted(e.au_ids)]) for e in exprs}
+    return selections, au_tests
+
+
+def _skipped(pair_id, condition, expression, kept, note) -> CellRecord:
+    return CellRecord(
+        pair_id, condition, expression, "skipped", "skipped", None, None, None, None,
+        IntervalSet(), 0, kept, note=note,
+    )
+
+
 def analyze_pair_condition(
     sender: AURecording,
     receiver: AURecording,
     config: AnalysisConfig,
-    precomputed: dict[str, IntervalSet] | None = None,
+    selections: dict[str, IntervalSet] | None = None,
 ) -> list[CellRecord]:
     """All expression cells for one pair in one condition.
 
-    ``precomputed`` maps expression name to an already-selected interval set
-    (for example from a previous ``intervals`` run); mining is skipped for
-    those expressions. In ``per_au`` signal mode each member AU is tested on
-    its own intervals and the cell reports the majority outcome; a given
-    selection holds one set per expression, not one per AU, so ``per_au``
-    refuses it.
+    Each expression's selection is mined here, unless ``selections`` gives
+    every one of them (as :func:`read_selections` reads them back). In
+    ``per_au`` signal mode each member AU is tested on its own intervals and
+    the cell reports the majority outcome; a given selection holds one set
+    per expression, not one per AU, so ``per_au`` refuses it.
     """
     per_au_mode = config.signal_mode == "per_au"
-    if per_au_mode and precomputed is not None:
+    if per_au_mode and selections is not None:
         raise ConfigError(_NO_GIVEN_PER_AU)
-    precomputed = precomputed or {}
     pair_id = sender.participant_id.rsplit("-", 1)[0] or sender.participant_id
     condition = sender.condition
-    params = config.interval_params()
     try:
         pair = confidence_sync(sender, receiver, config.confidence)
     except EmptyOverlap as exc:
-        return [
-            CellRecord(
-                pair_id, condition, name, "skipped", "skipped", None, None, None, None,
-                IntervalSet(), 0, 0, note=str(exc),
-            )
-            for name in config.expressions
-        ]
+        return [_skipped(pair_id, condition, name, 0, str(exc)) for name in config.expressions]
     kept = pair.kept_frames.total_length()
-    span = (int(pair.sender.frame_indices[0]), int(pair.sender.frame_indices[-1]))
-    exprs = [EXPRESSIONS_BY_NAME[name] for name in config.expressions]
-
-    # mine stage: each member AU of an expression to mine, once, from its own
-    # runs; in per_au mode its full-span test and its test on its selection too
-    mined: dict[int, IntervalSet] = {}
-    au_tests: dict[int, tuple] = {}
-    to_mine = {
-        au for e in exprs if e.available_in(AU_IDS) and e.name not in precomputed for au in e.au_ids
-    }
-    for au in sorted(to_mine):
-        row = AU_ROW[au]
-        runs = _kept_run_signals(pair, pair.sender.intensities[row], pair.receiver.intensities[row])
-        mined[au] = _mine_au(runs, params, span)
-        if per_au_mode:
-            au_tests[au] = (_run_gc(runs, config), _test_selected(runs, mined[au], config))
+    if selections is None:
+        selections, au_tests = _mine(pair, config, with_tests=per_au_mode)
 
     # test stage: each expression on its selection, by vote or on its mean signal
     cells = []
-    for expr in exprs:
+    for expr in _expressions(config):
         if not expr.available_in(AU_IDS):
-            cells.append(
-                CellRecord(
-                    pair_id, condition, expr.name, "skipped", "skipped", None, None, None, None,
-                    IntervalSet(), 0, kept, note="member AUs not present in recording",
-                )
-            )
+            note = "member AUs not present in recording"
+            cells.append(_skipped(pair_id, condition, expr.name, kept, note))
             continue
-        aus = sorted(expr.au_ids)
-        if expr.name in precomputed:
-            selection = precomputed[expr.name]
-        else:
-            selection = intersect_sets([mined[au] for au in aus])
+        selection = selections[expr.name]
         note = ""
         if per_au_mode:
+            aus = sorted(expr.au_ids)
             full_status, full_outcome, n_full = _vote([au_tests[au][0] for au in aus])
             sel_status, sel_outcome, n_sel = _vote([au_tests[au][1] for au in aus])
             full_result = sel_result = None
@@ -430,7 +433,7 @@ def analyze_pair_condition(
         cells.append(
             CellRecord(
                 pair_id, condition, expr.name, full_status, sel_status, full_result, sel_result,
-                full_outcome, sel_outcome, selection, sum(iv.length for iv in selection), kept,
+                full_outcome, sel_outcome, selection, selection.total_length(), kept,
                 note=note,
             )
         )
@@ -438,66 +441,92 @@ def analyze_pair_condition(
 
 
 # ---------------------------------------------------------------------------
-# batch driver
+# batch stages
+
+
+def load_recordings(manifest: Manifest) -> dict[tuple[str, str, str], AURecording]:
+    """Every recording the manifest lists, keyed by (pair_id, role, condition)."""
+    if not manifest.rows:
+        log.warning("empty manifest: nothing to analyze")
+    return {
+        (row.pair_id, row.role, row.condition): parse_au_csv(
+            row.path, f"{row.pair_id}-{row.role}", row.condition, row.role
+        )
+        for row in manifest.rows
+    }
+
+
+def _per_pair(task, manifest, recordings, config, selections=None) -> list:
+    """``task`` on each (sender, receiver, config[, its ``selections`` entry]), in
+    manifest order, on ``config.workers`` processes."""
+    args = [
+        (recordings[(p, "sender", c)], recordings[(p, "receiver", c)], config)
+        + (() if selections is None else (selections[(p, c)],))
+        for p, c in manifest.pair_conditions()
+    ]
+    if config.workers > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            return list(pool.map(task, args))
+    return [task(a) for a in args]
+
+
+def _mine_task(args) -> dict[str, IntervalSet]:
+    """Mine-only step: each expression's selection, empty for a skipped one; no test."""
+    sender, receiver, config = args
+    selections = {name: IntervalSet() for name in config.expressions}
+    try:
+        pair = confidence_sync(sender, receiver, config.confidence)
+    except EmptyOverlap:
+        return selections
+    return {**selections, **_mine(pair, config, with_tests=False)[0]}
 
 
 def _cell_task(args) -> list[CellRecord]:
-    sender, receiver, config, precomputed = args
-    return analyze_pair_condition(sender, receiver, config, precomputed)
+    return analyze_pair_condition(*args)
 
 
-def run_pipeline(
-    manifest: Manifest,
-    config: AnalysisConfig,
-    precomputed_intervals: dict[tuple[str, str, str], IntervalSet] | None = None,
-) -> PipelineResult:
-    """Execute the full batch and assemble the report.
+def mine_selections(manifest, recordings, config) -> dict[tuple[str, str], dict[str, IntervalSet]]:
+    """Every cell's selection, by (pair_id, condition) and then expression."""
+    return dict(zip(manifest.pair_conditions(), _per_pair(_mine_task, manifest, recordings, config)))
 
-    ``precomputed_intervals`` maps (pair_id, condition, expression) to a
-    ready-made interval selection, bypassing the mining stage for those cells;
-    ``per_au`` mode refuses it before any recording is read.
-    """
-    if precomputed_intervals is not None and config.signal_mode == "per_au":
-        raise ConfigError(_NO_GIVEN_PER_AU)
-    if not manifest.rows:
-        log.warning("empty manifest: nothing to analyze")
-        return PipelineResult((), (), (), config)
 
-    recordings: dict[tuple[str, str, str], AURecording] = {}
-    for row in manifest.rows:
-        recordings[(row.pair_id, row.role, row.condition)] = parse_au_csv(
-            row.path, f"{row.pair_id}-{row.role}", row.condition, row.role
-        )
+def analyze_cells(manifest, recordings, config, selections=None) -> tuple[CellRecord, ...]:
+    """Every cell, tested on its mined selection or on its entry of ``selections``."""
+    per_task = _per_pair(_cell_task, manifest, recordings, config, selections)
+    return tuple(cell for group in per_task for cell in group)
 
+
+def run_pipeline(manifest: Manifest, config: AnalysisConfig) -> PipelineResult:
+    """Execute the full batch and assemble the report."""
+    recordings = load_recordings(manifest)
     occurrence = _occurrence_rows(manifest, recordings, config)
+    cells = analyze_cells(manifest, recordings, config)
+    return PipelineResult(_assemble_reports(cells), cells, occurrence, config)
 
-    tasks = []
-    for pair_id in manifest.pair_ids():
-        for condition in manifest.conditions_of(pair_id):
-            cell_pre = None
-            if precomputed_intervals is not None:
-                cell_pre = {
-                    expr: ivs
-                    for (p, c, expr), ivs in precomputed_intervals.items()
-                    if (p, c) == (pair_id, condition)
-                }
-            tasks.append(
-                (
-                    recordings[(pair_id, "sender", condition)],
-                    recordings[(pair_id, "receiver", condition)],
-                    config,
-                    cell_pre,
-                )
-            )
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_task = list(pool.map(_cell_task, tasks))
-    else:
-        per_task = [_cell_task(t) for t in tasks]
-    cells = tuple(cell for group in per_task for cell in group)
 
-    reports = _assemble_reports(cells)
-    return PipelineResult(reports, cells, occurrence, config)
+def selection_path(directory, pair_id: str, condition: str, expression: str) -> Path:
+    """The TSV a cell's selection is written to and read back from."""
+    return Path(directory) / f"{pair_id}_{condition}_{expression}.tsv"
+
+
+def read_selections(directory, manifest, config) -> dict[tuple[str, str], dict[str, IntervalSet]]:
+    """Every cell's written selection, in :func:`mine_selections`' shape.
+
+    Each cell needs its own file; a missing or malformed one is a
+    :class:`FormatError` naming it. Other files are never read.
+    """
+    out: dict[tuple[str, str], dict[str, IntervalSet]] = {}
+    for pair_id, condition in manifest.pair_conditions():
+        per_expr = out[(pair_id, condition)] = {}
+        for name in config.expressions:
+            path = selection_path(directory, pair_id, condition, name)
+            try:
+                per_expr[name] = IntervalSet.from_tsv(path.read_text())
+            except OSError as exc:
+                raise FormatError(f"{path}: cannot read interval selection: {exc.strerror}") from exc
+            except (AnalysisError, UnicodeDecodeError) as exc:
+                raise FormatError(f"{path}: {exc}") from exc
+    return out
 
 
 def _occurrence_rows(manifest, recordings, config) -> tuple[ComparisonRow, ...]:
@@ -529,16 +558,12 @@ def _occurrence_rows(manifest, recordings, config) -> tuple[ComparisonRow, ...]:
                 count_activations(expression_activation(active, expr), rec.n_frames)
             )
     # cohort-level normalization by the per-expression maximum
-    max_count: dict[str, float] = {}
-    for per in raw.values():
-        for cond in per.values():
-            for name, v in cond.items():
-                max_count[name] = max(max_count.get(name, 0.0), v)
-    for per in raw.values():
-        for cond in per.values():
-            for name in cond:
-                if max_count[name] > 0:
-                    cond[name] = cond[name] / max_count[name]
+    counts = [cond for per in raw.values() for cond in per.values()]
+    for expr in computable:
+        top = max((cond[expr.name] for cond in counts), default=0.0)
+        if top > 0:
+            for cond in counts:
+                cond[expr.name] = cond[expr.name] / top
     if len(raw) < 2:
         return ()
     return tuple(condition_comparison(raw, q=config.fdr_q))
@@ -561,9 +586,7 @@ def _assemble_reports(cells) -> tuple[ConditionReport, ...]:
                     sel[_OUTCOME_OF[c.sel_outcome]] += 1
                 elif c.sel_status == "no_intervals":
                     sel["none"] += 1
-            rows.append(
-                ExpressionRow(expression, MethodCounts(**full), MethodCounts(**sel))
-            )
+            rows.append(ExpressionRow(expression, MethodCounts(**full), MethodCounts(**sel)))
         reports.append(ConditionReport(condition, tuple(rows)))
     return tuple(reports)
 
@@ -691,31 +714,22 @@ def emit_report(result: PipelineResult, out_dir) -> list[Path]:
     results_path = out_dir / "results.jsonl"
     with results_path.open("w") as fh:
         for c in result.cells:
-            fh.write(
-                json.dumps(
-                    {
-                        "pair_id": c.pair_id,
-                        "condition": c.condition,
-                        "expression": c.expression,
-                        "full_status": c.full_status,
-                        "sel_status": c.sel_status,
-                        "full_result": _gc_dict(c.full_result, c.full_outcome),
-                        "sel_result": _gc_dict(c.sel_result, c.sel_outcome),
-                        "selected_frames": c.selected_frames,
-                        "kept_frames": c.kept_frames,
-                        "intervals": [[iv.start, iv.end, iv.shift] for iv in c.intervals],
-                        "note": c.note,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            record = {
+                "pair_id": c.pair_id, "condition": c.condition, "expression": c.expression,
+                "full_status": c.full_status, "sel_status": c.sel_status,
+                "full_result": _gc_dict(c.full_result, c.full_outcome),
+                "sel_result": _gc_dict(c.sel_result, c.sel_outcome),
+                "selected_frames": c.selected_frames, "kept_frames": c.kept_frames,
+                "intervals": [[iv.start, iv.end, iv.shift] for iv in c.intervals],
+                "note": c.note,
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
     written.append(results_path)
 
     ivdir = out_dir / "intervals"
     ivdir.mkdir(exist_ok=True)
     for c in result.cells:
-        p = ivdir / f"{c.pair_id}_{c.condition}_{c.expression}.tsv"
+        p = selection_path(ivdir, c.pair_id, c.condition, c.expression)
         p.write_text(c.intervals.to_tsv())
         written.append(p)
     return written

@@ -12,8 +12,11 @@ from dyadgc.intervals import Interval, IntervalSet
 from dyadgc.pipeline import (
     Manifest,
     MethodCounts,
+    analyze_cells,
     analyze_pair_condition,
     emit_report,
+    load_recordings,
+    read_selections,
     report_from_dict,
     report_to_dict,
     run_pipeline,
@@ -37,6 +40,12 @@ def _manifest_of_missing_files(tmp_path):
         "a,sender,contempt,nope_s.csv\na,receiver,contempt,nope_r.csv\n"
     )
     return path
+
+
+@pytest.fixture(scope="module")
+def small_cohort(tmp_path_factory):
+    """One pair of 600 frames: the cohort the CLI stage checks run on."""
+    return make_demo_cohort(tmp_path_factory.mktemp("small"), n_pairs=1, length=600, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -217,15 +226,15 @@ class TestRunPipeline:
             counts.s_gc_r, counts.r_gc_s, counts.bidirectional, counts.none
         )
 
-    def test_precomputed_intervals_round_trip(self, cohort):
+    def test_precomputed_intervals_round_trip(self, cohort, tmp_path):
         manifest = Manifest.load(cohort)
         cfg = AnalysisConfig(expressions=("happiness_lower",))
         first = run_pipeline(manifest, cfg)
-        pre = {
-            (c.pair_id, c.condition, c.expression): c.intervals for c in first.cells
-        }
-        again = run_pipeline(manifest, cfg, precomputed_intervals=pre)
-        for a, b in zip(first.cells, again.cells):
+        emit_report(first, tmp_path)
+        written = read_selections(tmp_path / "intervals", manifest, cfg)
+        again = analyze_cells(manifest, load_recordings(manifest), cfg, written)
+        assert len(again) == len(first.cells)
+        for a, b in zip(first.cells, again):
             assert a.intervals.intervals == b.intervals.intervals
             assert a.sel_status == b.sel_status
             if a.sel_status == "ok":
@@ -267,7 +276,7 @@ class TestPerCellPath:
         selection = IntervalSet((Interval(200, 500),))
         (cell,) = analyze_pair_condition(
             sender, receiver, AnalysisConfig(expressions=("happiness_upper",)),
-            precomputed={"happiness_upper": selection},
+            selections={"happiness_upper": selection},
         )
         assert cell.sel_status == "ok"
         order = cell.sel_result.order
@@ -311,17 +320,18 @@ class TestMiningPerAU:
             assert (cell.sel_status, cell.sel_outcome) == (ref.sel_status, ref.sel_outcome)
 
     def test_precomputed_expression_is_not_mined(self, monkeypatch):
+        # a given selection is complete: every expression's, so nothing is mined
         sender, receiver = _pair_with_kept(400, self.KEPT)
         cfg = AnalysisConfig(expressions=("happiness_lower", "surprise_lower"))
-        given = {"happiness_lower": IntervalSet((Interval(20, 180),))}
+        given = {
+            "happiness_lower": IntervalSet((Interval(20, 180),)),
+            "surprise_lower": IntervalSet(),
+        }
         calls = self._count_mining(monkeypatch)
-        cells = analyze_pair_condition(sender, receiver, cfg, precomputed=given)
-        assert len(calls) == 2  # AU26 of surprise_lower, once per kept run
-        assert cells[0].intervals == given["happiness_lower"]
-        calls.clear()
-        given["surprise_lower"] = IntervalSet()
-        analyze_pair_condition(sender, receiver, cfg, precomputed=given)
+        cells = analyze_pair_condition(sender, receiver, cfg, selections=given)
         assert calls == []
+        assert [c.intervals for c in cells] == list(given.values())
+        assert cells[1].sel_status == "no_intervals"
 
 
 class TestPerAUTestsOnce:
@@ -380,26 +390,18 @@ class TestPerAUTestsOnce:
         assert len(calls) == len(inputs[0]) + len(inputs[1]) - 2
         assert [self._outcomes(c) for c in cells] == [self._outcomes(c) for c in alone]
 
-    def test_precomputed_selection_is_refused(self, tmp_path, capsys):
+    def test_precomputed_selection_is_refused(self, small_cohort, tmp_path, capsys):
         # a written selection is one set per expression, not each member AU's own
         sender, receiver = _pair_with_kept(400, self.KEPT)
         cfg = AnalysisConfig(expressions=("happiness_lower",), signal_mode="per_au")
         given = {"happiness_lower": IntervalSet((Interval(20, 180),))}
         with pytest.raises(ConfigError, match="per_au"):
-            analyze_pair_condition(sender, receiver, cfg, precomputed=given)
-        # refused before any recording is read: no FormatError for the missing files
-        manifest_path = _manifest_of_missing_files(tmp_path)
-        manifest = Manifest.load(manifest_path)
-        pre = {("a", "contempt", "happiness_lower"): given["happiness_lower"]}
-        with pytest.raises(ConfigError, match="per_au"):
-            run_pipeline(manifest, cfg, precomputed_intervals=pre)
-        ivdir = tmp_path / "iv"
-        ivdir.mkdir()
-        (ivdir / "a_contempt_happiness_lower.tsv").write_text(given["happiness_lower"].to_tsv())
-        out = tmp_path / "out"
-        argv = ["granger", "--manifest", str(manifest_path), "--out", str(out),
-                "--intervals-dir", str(ivdir), "--signal-mode", "per_au"]
-        assert main(argv) == 2
+            analyze_pair_condition(sender, receiver, cfg, selections=given)
+        ivdir, out = tmp_path / "iv", tmp_path / "out"
+        flags = ["--manifest", str(small_cohort), "--signal-mode", "per_au"]
+        assert main(["intervals", "--out", str(ivdir)] + flags) == 0
+        capsys.readouterr()
+        assert main(["granger", "--out", str(out), "--intervals-dir", str(ivdir)] + flags) == 2
         assert "per_au" in capsys.readouterr().err
         assert not (out / "results.jsonl").exists()
 
@@ -620,7 +622,7 @@ class TestCLI:
         assert all(r["method"] == "full" for r in full)
         assert len(full) == len(selected)
 
-        # precomputed intervals give the same selected-side records
+        # the written intervals give the same selected-side records
         gdir3 = tmp_path / "gc_pre"
         assert main([
             "granger", "--manifest", str(cohort), "--out", str(gdir3),
@@ -652,3 +654,134 @@ class TestCLI:
         assert main(["synth", "--out", str(out), "--pairs", "1", "--length", "900",
                      "--seed", "5"]) == 0
         assert (out / "manifest.csv").exists()
+
+
+#: every computable expression, per_au + averaged: the config of perfbench's wide workload
+WIDE = {
+    "expressions": tuple(e.name for e in EXPRESSIONS if e.available_in(AU_IDS)),
+    "signal_mode": "per_au",
+    "gc_mode": "averaged",
+}
+
+
+class TestStages:
+    """Each subcommand runs only the stages its output needs."""
+
+    @staticmethod
+    def _count(monkeypatch, names):
+        calls = {name: 0 for name in names}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+        return calls
+
+    def test_intervals_runs_no_test(self, small_cohort, tmp_path, monkeypatch):
+        calls = self._count(
+            monkeypatch,
+            ("mine_shifted", "select_order", "gc_test", "baseline_stats", "condition_comparison"),
+        )
+        for config in ([], ["--signal-mode", "per_au", "--mode", "averaged"]):
+            argv = ["intervals", "--manifest", str(small_cohort), "--out", str(tmp_path / "iv")]
+            assert main(argv + config) == 0
+        assert calls.pop("mine_shifted") > 0
+        assert calls == {name: 0 for name in calls}
+
+    def test_granger_runs_no_occurrence_stage(self, small_cohort, tmp_path, monkeypatch):
+        ivdir = tmp_path / "iv"
+        assert main(["intervals", "--manifest", str(small_cohort), "--out", str(ivdir)]) == 0
+        calls = self._count(
+            monkeypatch, ("gc_test", "baseline_stats", "au_activation", "condition_comparison")
+        )
+        argv = ["granger", "--manifest", str(small_cohort), "--out", str(tmp_path / "gc")]
+        assert main(argv) == 0
+        assert main(argv + ["--intervals-dir", str(ivdir)]) == 0
+        assert main(argv + ["--signal-mode", "per_au"]) == 0
+        assert calls.pop("gc_test") > 0
+        assert calls == {name: 0 for name in calls}
+
+    @pytest.mark.parametrize("config", [{}, WIDE], ids=["default", "wide"])
+    def test_intervals_writes_what_pipeline_writes(self, cohort, tmp_path, capsys, config):
+        flags = ["--manifest", str(cohort)]
+        if config:
+            flags += ["--expressions", ",".join(config["expressions"]),
+                      "--signal-mode", config["signal_mode"], "--mode", config["gc_mode"]]
+        assert main(["pipeline", "--out", str(tmp_path / "run")] + flags) == 0
+        capsys.readouterr()
+        ivdir = tmp_path / "iv"
+        assert main(["intervals", "--out", str(ivdir)] + flags) == 0
+        printed = capsys.readouterr().out
+
+        cells = run_pipeline(Manifest.load(cohort), AnalysisConfig(**config)).cells
+        assert printed == "".join(
+            f"{ivdir / f'{c.pair_id}_{c.condition}_{c.expression}.tsv'}: "
+            f"{len(c.intervals)} intervals, {c.selected_frames} frames\n"
+            for c in cells
+        )
+        assert any(c.selected_frames for c in cells)
+
+        def tsvs(directory):
+            return {p.name: p.read_bytes() for p in directory.glob("*.tsv")}
+
+        assert tsvs(ivdir) == tsvs(tmp_path / "run" / "intervals")
+        assert len(tsvs(ivdir)) == len(cells)
+
+    def test_missing_intervals_dir_is_a_data_error(self, small_cohort, tmp_path, capsys):
+        # it used to be read as an empty map, and every cell was mined instead
+        missing, out = tmp_path / "does_not_exist", tmp_path / "gc"
+        argv = ["granger", "--manifest", str(small_cohort), "--out", str(out)]
+        assert main(argv + ["--intervals-dir", str(missing)]) == 2
+        assert str(missing / "pair01_contempt_happiness_lower.tsv") in capsys.readouterr().err
+        assert not (out / "results.jsonl").exists()
+
+    def test_every_cell_needs_its_tsv(self, small_cohort, tmp_path, capsys):
+        ivdir, out = tmp_path / "iv", tmp_path / "gc"
+        assert main(["intervals", "--manifest", str(small_cohort), "--out", str(ivdir)]) == 0
+        kept = list(ivdir.glob("*_happiness_lower.tsv"))
+        assert len(kept) == 3
+        for path in ivdir.glob("*.tsv"):
+            if path not in kept:
+                path.unlink()
+        capsys.readouterr()
+        argv = ["granger", "--manifest", str(small_cohort), "--out", str(out),
+                "--intervals-dir", str(ivdir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "pair01_contempt_" in err and ".tsv" in err
+        assert not (out / "results.jsonl").exists()
+
+    def test_only_the_manifest_cells_are_read(self, small_cohort, tmp_path):
+        ivdir = tmp_path / "iv"
+        assert main(["intervals", "--manifest", str(small_cohort), "--out", str(ivdir)]) == 0
+        (ivdir / "pair99_contempt_happiness_lower.tsv").write_text("not\ta\tselection\n")
+        (ivdir / "notes.tsv").write_text("junk\n")
+        argv = ["granger", "--manifest", str(small_cohort), "--out", str(tmp_path / "gc")]
+        assert main(argv + ["--intervals-dir", str(ivdir)]) == 0
+
+    def test_malformed_tsv_names_the_file(self, small_cohort, tmp_path, capsys):
+        ivdir = tmp_path / "iv"
+        assert main(["intervals", "--manifest", str(small_cohort), "--out", str(ivdir)]) == 0
+        bad = ivdir / "pair01_objective_sadness_lower.tsv"
+        bad.write_text("12\tx\t\n")
+        with pytest.raises(FormatError, match="sadness_lower.tsv: line 1"):
+            read_selections(ivdir, Manifest.load(small_cohort), AnalysisConfig())
+        argv = ["granger", "--manifest", str(small_cohort), "--out", str(tmp_path / "gc"),
+                "--intervals-dir", str(ivdir)]
+        assert main(argv) == 2
+        assert f"error: {bad}: line 1: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ["not json\n", '{"conditions": [], "occurrence": []}\n'], ids=["text", "no_config"]
+    )
+    def test_report_of_a_bad_file_is_a_data_error(self, tmp_path, capsys, text):
+        saved = tmp_path / "report.json"
+        saved.write_text(text)
+        assert main(["report", "--results", str(saved), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {saved}: not a saved report.json" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
