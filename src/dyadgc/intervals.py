@@ -14,6 +14,17 @@ exactly the all-subintervals definition. Length ``l + 1`` is evaluated only
 inside the runs of starts valid at length ``l``, so a level costs vectorized
 work in proportion to the starts still valid, not to the series length.
 
+A correlated stretch of W frames would still take about W levels, each over
+the whole run. So every 16th level, a run at least 32 starts wide is offered
+to a certificate (:func:`_certified`) that settles it in one vector op: if
+the least-squares line of the run's whole span leaves a residual small
+against the least receiver variance of any window, every window of the span
+clears ``beta``, so the walk would shrink the run level by level and emit
+exactly that span. The test keeps a margin on r² that covers float error in
+its own sums and in the walk's, and applies the walk's flatness floor at the
+span's full width, so it is exact: a certificate that fails leaves the run
+to the walk.
+
 All interval coordinates are absolute frame indices (closed intervals), so
 results from different shifts, runs, and action units can be pooled directly.
 """
@@ -30,6 +41,11 @@ from .timeseries import BinaryMask, TimeSeries, median_filter
 
 #: relative variance floor below which a window is treated as constant (r = 0).
 _FLAT_REL = 1e-10
+#: a run at least this many starts wide is offered to the certificate ...
+_CERT_MIN_WIDTH = 32
+#: ... at every this many levels above ``l_min``; trying every run at every
+#: level costs more than the walks it saves on short stretches
+_CERT_EVERY = 16
 
 
 @dataclass(frozen=True)
@@ -136,23 +152,38 @@ class IntervalSet:
         return cls(tuple(out))
 
 
-def _valid_starts(csum, length: int, beta: float, a: int, b: int) -> np.ndarray:
-    """Whether each window of ``length`` starting at ``a .. b - 1`` has r >= ``beta``.
+def _require_aligned(x: TimeSeries, y: TimeSeries, caller: str) -> None:
+    if len(x) != len(y) or x.start_frame != y.start_frame:
+        raise ShapeError(
+            f"{caller} needs frame-aligned series of equal length: "
+            f"{len(x)} frames from {x.start_frame} vs {len(y)} from {y.start_frame}"
+        )
+
+
+def _window_stats(csum, length: int, a: int, b: int):
+    """Centered (Sxx, Syy, Sxy) of each window of ``length`` starting at ``a .. b - 1``.
 
     ``csum`` is the tuple (cx, cy, cxx, cyy, cxy, flat_tol) with prefix arrays
-    of size n + 1. A window whose variance falls under the flatness tolerance
-    has r = 0, so it never clears a threshold in (0, 1].
+    of size n + 1.
     """
-    cx, cy, cxx, cyy, cxy, tol = csum
+    cx, cy, cxx, cyy, cxy, _ = csum
     l = length
     sx = cx[a + l : b + l] - cx[a:b]
     sy = cy[a + l : b + l] - cy[a:b]
     sxx = cxx[a + l : b + l] - cxx[a:b]
     syy = cyy[a + l : b + l] - cyy[a:b]
     sxy = cxy[a + l : b + l] - cxy[a:b]
-    vx = sxx - sx * sx / l
-    vy = syy - sy * sy / l
-    cov = sxy - sx * sy / l
+    return sxx - sx * sx / l, syy - sy * sy / l, sxy - sx * sy / l
+
+
+def _valid_starts(stats, length: int, beta: float, tol: float) -> np.ndarray:
+    """Whether each window of ``length`` with centered sums ``stats`` has r >= ``beta``.
+
+    A window whose variance falls under the flatness tolerance ``tol`` per
+    frame has r = 0, so it never clears a threshold in (0, 1].
+    """
+    vx, vy, cov = stats
+    l = length
     ok = (vx > tol * l) & (vy > tol * l)
     return ok & (cov / np.sqrt(np.where(ok, vx * vy, 1.0)) >= beta)
 
@@ -167,30 +198,75 @@ def _prefix_sums(xv: np.ndarray, yv: np.ndarray):
     return (pad(xc), pad(yc), pad(xc * xc), pad(yc * yc), pad(xc * yc), scale * _FLAT_REL)
 
 
+def _certified(csum, l: int, a: int, b: int, beta: float, vx: np.ndarray, vy: np.ndarray) -> bool:
+    """Whether the walk would keep run ``[a, b]`` at level ``l`` whole up to one start.
+
+    Every start of the run is valid at length ``l``; ``vx`` and ``vy`` are
+    the centered Sxx and Syy of its length-``(l + 1)`` windows. True means
+    every window of ``U = [a, b + l - 1]`` of length ``l + 1`` or more passes
+    the walk's own float test, so the walk would emit exactly ``U``.
+
+    Why: let U's least-squares line have slope g > 0 and residual res_U. On
+    any window w of U the same line leaves at most res_U, and a window's
+    centered Syy only grows with the window, so Syy(w) >= m_y = min(vy).
+    Expanding that residual and one AM-GM step give
+    r_w >= sqrt(1 - res_U / m_y).
+    """
+    cx, cy, cxx, cyy, cxy, tol = csum
+    n = len(cx) - 1
+    e = b + l
+    w = e - a
+    sx, sy = cx[e] - cx[a], cy[e] - cy[a]
+    sxx = cxx[e] - cxx[a] - sx * sx / w
+    syy = cyy[e] - cyy[a] - sy * sy / w
+    sxy = cxy[e] - cxy[a] - sx * sy / w
+    if not (sxx > 0.0 and sxy > 0.0):
+        return False
+    m_x, m_y = float(vx.min()), float(vy.min())
+    # Absolute float error of any centered window sum taken from the
+    # sequential prefix sums: (2n + 3) eps per prefix total, times
+    # 1 + 2 sqrt(n / k) from subtracting s^2 / k for windows k >= l + 1.
+    unit = (2 * n + 3) * np.finfo(float).eps * (1.0 + 2.0 * np.sqrt(n / (l + 1)))
+    err_x, err_y = unit * cxx[n], unit * cyy[n]
+    # The walk's flatness floor grows with the window (vx > tol * k), so the
+    # smallest variance must clear it at U's full width, net of float error.
+    if m_x - 2 * err_x <= tol * w or m_y - 2 * err_y <= tol * w:
+        return False
+    # The margin on r^2 covers the float error of this test and of the walk's
+    # r on every window of U (a few multiples of err / m each).
+    margin = max(1e-6, 16.0 * (err_x / m_x + err_y / m_y))
+    return 1.0 - (syy - sxy * sxy / sxx) / m_y >= beta * beta + margin
+
+
 def correlated_intervals(x: TimeSeries, y: TimeSeries, p: IntervalParams) -> list[Interval]:
     """All maximal correlated intervals between two aligned series.
 
     The result is sorted by start frame; intervals may overlap each other.
     Coordinates are absolute frames (offset by ``x.start_frame``).
     """
+    _require_aligned(x, y, "correlated_intervals")
     n = len(x)
-    if len(y) != n:
-        raise ShapeError(f"length mismatch: {n} vs {len(y)}")
     if n < p.l_min:
         raise ShapeError(f"series length {n} below minimum interval length {p.l_min}")
     csum = _prefix_sums(x.values, y.values)
+    tol = csum[5]
     off = x.start_frame
 
     out: list[Interval] = []
     l = p.l_min
     # valid length-l starts, as closed runs [a, b]
-    runs = BinaryMask(_valid_starts(csum, l, p.beta, 0, n - l + 1)).runs()
+    runs = BinaryMask(_valid_starts(_window_stats(csum, l, 0, n - l + 1), l, p.beta, tol)).runs()
     while runs:
         nxt_runs = []
+        certify = (l - p.l_min) % _CERT_EVERY == 0
         for a, b in runs:
             # start s is valid at length l + 1 iff s and s + 1 are valid at
             # length l (so a <= s < b) and its own r clears the threshold
-            nxt = _valid_starts(csum, l + 1, p.beta, a, b)
+            stats = _window_stats(csum, l + 1, a, b)
+            if certify and b - a + 1 >= _CERT_MIN_WIDTH and _certified(csum, l, a, b, p.beta, *stats[:2]):
+                out.append(Interval(off + a, off + b + l - 1))
+                continue
+            nxt = _valid_starts(stats, l + 1, p.beta, tol)
             if b > a and nxt.all():
                 nxt_runs.append((a, b - 1))
                 continue
@@ -265,9 +341,8 @@ def mine_shifted(x: TimeSeries, y: TimeSeries, p: IntervalParams) -> IntervalSet
     reported in unshifted ``x`` frame coordinates; shifts whose overlap with
     the partner is shorter than ``l_min`` contribute nothing.
     """
+    _require_aligned(x, y, "mine_shifted")
     n = len(x)
-    if len(y) != n:
-        raise ShapeError(f"length mismatch: {n} vs {len(y)}")
     if n < p.l_min:
         raise ShapeError(f"series length {n} below minimum interval length {p.l_min}")
     candidates: list[Interval] = []
@@ -338,8 +413,7 @@ def segment_series(x: TimeSeries, y: TimeSeries, s: IntervalSet) -> list[tuple[T
     Interval boundaries stay explicit (one pair per interval, anchored at its
     own start frame) so downstream regressions can refuse to straddle them.
     """
-    if len(x) != len(y) or x.start_frame != y.start_frame:
-        raise ShapeError("segment_series needs frame-aligned series of equal length")
+    _require_aligned(x, y, "segment_series")
     out = []
     for iv in s:
         out.append((x.slice_frames(iv.start, iv.end), y.slice_frames(iv.start, iv.end)))

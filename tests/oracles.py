@@ -6,6 +6,10 @@ subinterval counting instead of the bottom-up recurrence, exhaustive subset
 search instead of scheduling DP, sign-pattern enumeration instead of the
 counting polynomial, one least-squares solve per candidate VAR order instead
 of one QR for all orders), so agreement is meaningful.
+
+The one exception is :func:`oracle_level_walk`: the miner's own prefix-sum
+walk without its certificate. It pins the certificate to the walk's float
+decisions exactly, where a route with other rounding could not.
 """
 
 from itertools import combinations, product
@@ -16,6 +20,8 @@ from scipy.stats import rankdata
 
 from dyadgc.errors import ConfigError, InsufficientData
 from dyadgc.granger import build_design
+from dyadgc.intervals import _prefix_sums
+from dyadgc.timeseries import BinaryMask
 
 
 def window_corr(xv, yv, a, b) -> float:
@@ -70,6 +76,50 @@ def oracle_maximal_intervals(xv, yv, beta, l_min):
         for b in range(a + l_min - 1, n):
             if correlated(a, b) and not correlated(a - 1, b) and not correlated(a, b + 1):
                 out.append((a, b))
+    return out
+
+
+def _walk_valid_starts(csum, length: int, beta: float, a: int, b: int) -> np.ndarray:
+    cx, cy, cxx, cyy, cxy, tol = csum
+    l = length
+    sx = cx[a + l : b + l] - cx[a:b]
+    sy = cy[a + l : b + l] - cy[a:b]
+    sxx = cxx[a + l : b + l] - cxx[a:b]
+    syy = cyy[a + l : b + l] - cyy[a:b]
+    sxy = cxy[a + l : b + l] - cxy[a:b]
+    vx = sxx - sx * sx / l
+    vy = syy - sy * sy / l
+    cov = sxy - sx * sy / l
+    ok = (vx > tol * l) & (vy > tol * l)
+    return ok & (cov / np.sqrt(np.where(ok, vx * vy, 1.0)) >= beta)
+
+
+def oracle_level_walk(xv, yv, beta, l_min):
+    """The miner's level walk with no certificate, as (start, end) pairs.
+
+    The same prefix sums and float decisions as ``correlated_intervals``, but
+    every run is walked one length at a time until it is emitted, so any run
+    the certificate settles at once must come out equal to this.
+    """
+    csum = _prefix_sums(np.asarray(xv, dtype=float), np.asarray(yv, dtype=float))
+    n = len(xv)
+    out = []
+    l = l_min
+    runs = BinaryMask(_walk_valid_starts(csum, l, beta, 0, n - l + 1)).runs()
+    while runs:
+        nxt_runs = []
+        for a, b in runs:
+            nxt = _walk_valid_starts(csum, l + 1, beta, a, b)
+            if b > a and nxt.all():
+                nxt_runs.append((a, b - 1))
+                continue
+            grown = np.concatenate(([False], nxt)) | np.concatenate((nxt, [False]))
+            for s in np.flatnonzero(~grown):
+                out.append((a + int(s), a + int(s) + l - 1))
+            nxt_runs += BinaryMask(nxt, a).runs()
+        runs = nxt_runs
+        l += 1
+    out.sort()
     return out
 
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dyadgc import intervals
 from dyadgc.errors import EmptyInput, ShapeError
 from dyadgc.intervals import (
     Interval,
@@ -17,6 +20,7 @@ from dyadgc.synth import gen_window_pair
 from dyadgc.timeseries import TimeSeries
 
 from oracles import (
+    oracle_level_walk,
     oracle_longest_set,
     oracle_majority_filter,
     oracle_maximal_intervals,
@@ -148,6 +152,11 @@ class TestCorrelatedIntervals:
         with pytest.raises(ShapeError):
             correlated_intervals(ts(np.zeros(10)), ts(np.zeros(10)), IntervalParams())
 
+    def test_misaligned_pair_raises(self):
+        x = np.random.default_rng(3).normal(size=200)
+        with pytest.raises(ShapeError, match="frame-aligned"):
+            correlated_intervals(ts(x), ts(x, start=100), IntervalParams(l_min=50))
+
 
 class TestRunSlicedLevels:
     """The miner evaluates each length only inside the runs of valid starts."""
@@ -204,6 +213,129 @@ class TestRunSlicedLevels:
         y[:60] = x[:60][::-1]
         y[200:] = x[200:][::-1]
         assert mined(x, y, 1.0, 20) == oracle_maximal_intervals(x, y, 1.0, 20) == [(60, 199)]
+
+
+def certificate_spy(monkeypatch):
+    """Record ((l, a, b), fired) for every run offered to the certificate."""
+    calls = []
+    real = intervals._certified
+
+    def spy(csum, l, a, b, *rest):
+        fired = real(csum, l, a, b, *rest)
+        calls.append(((l, a, b), fired))
+        return fired
+
+    monkeypatch.setattr(intervals, "_certified", spy)
+    return calls
+
+
+class TestCertificate:
+    """A run certified at once emits exactly what walking its levels would."""
+
+    def test_fires_on_a_long_strong_stretch(self, monkeypatch):
+        # shaped like the benchmark's long mimicry windows: r about 0.99 over
+        # hundreds of frames, inside independent louder noise
+        calls = certificate_spy(monkeypatch)
+        x, y = gen_window_pair(700, [(100, 599, 0.99)], seed=21)
+        p = IntervalParams(beta=0.8, l_min=75, shifts=(0,))
+        got = [(iv.start, iv.end) for iv in correlated_intervals(x, y, p)]
+        assert got == oracle_maximal_intervals(x.values, y.values, 0.8, 75)
+        certified = [(a, b + l - 1) for (l, a, b), fired in calls if fired]
+        assert certified and set(certified) <= set(got)
+        # settled long before the walk would reach the stretch's full length
+        assert max(l for (l, _, _), fired in calls if fired) < 300
+
+    def test_refuses_a_run_hiding_a_longer_sub_beta_window(self, monkeypatch):
+        # y = x plus a slow swing: every 30-frame window sees almost none of
+        # the swing and is correlated, windows of a few hundred frames are not
+        calls = certificate_spy(monkeypatch)
+        rng = np.random.default_rng(22)
+        n = 600
+        x = rng.normal(size=n)
+        y = x + 2.0 * np.sin(2 * np.pi * np.arange(n) / 600) + 0.1 * rng.normal(size=n)
+        p = IntervalParams(beta=0.8, l_min=30, shifts=(0,))
+        got = [(iv.start, iv.end) for iv in correlated_intervals(ts(x), ts(y), p)]
+        assert level_runs(x, y, 0.8, 30)[30] == [(0, n - 30)]  # valid at l_min
+        assert (windows_corr(x, y, 300) < 0.8).any()  # but not at 300 frames
+        assert got == oracle_maximal_intervals(x, y, 0.8, 30)
+        assert calls and not any(fired for _, fired in calls)
+
+    def test_flatness_floor_counts_the_whole_run(self, monkeypatch):
+        # A square wave of period 64 after noise. The loud receiver sets the
+        # floor; the sender is the same wave scaled so that a 64-frame window
+        # (an even split, variance 1/4 of the swing squared per frame) sits
+        # at 1.06 tol per frame. Windows of about 100 frames hold an uneven
+        # split, fall under the floor and score r = 0. The sender's error
+        # bound is small here, so only the floor can refuse.
+        calls = certificate_spy(monkeypatch)
+        rng = np.random.default_rng(23)
+        period = 64
+        wave = (np.arange(6 * period) % period < period // 2).astype(float)
+        x = np.r_[1e-7 * rng.normal(size=400), wave]
+        y = np.r_[5.0 * rng.normal(size=400), wave]
+        tol = intervals._prefix_sums(np.zeros_like(y), y)[5]  # set by y alone
+        x[400:] *= np.sqrt(tol / 0.235)
+        got = mined(x, y, 0.8, period - 1)
+        assert got == oracle_level_walk(x, y, 0.8, period - 1)
+        assert all(b - a + 1 < 2 * period for a, b in got)
+        assert calls and not any(fired for _, fired in calls)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_exact_line_at_beta_one_is_left_to_the_walk(self, monkeypatch, seed):
+        # y = 3x + 1 has r = 1, but the walk's float r lands a few ulps on
+        # either side of 1 window by window; only the margin keeps the
+        # certificate from claiming the whole stretch
+        calls = certificate_spy(monkeypatch)
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(2, 400))
+        y[100:300] = 3.0 * x[100:300] + 1.0
+        assert mined(x, y, 1.0, 20) == oracle_level_walk(x, y, 1.0, 20)
+        assert not any(fired for _, fired in calls)
+
+    @pytest.mark.parametrize("delta", [-0.02, -0.01, 0.0, 0.01, 0.02])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_threshold_stretches_match_the_walk(self, monkeypatch, delta, seed):
+        calls = certificate_spy(monkeypatch)
+        beta = 0.8
+        x, y = gen_window_pair(600, [(50, 549, beta + delta)], seed=300 + seed, outside_std=2.0)
+        p = IntervalParams(beta=beta, l_min=30, shifts=(0,))
+        got = [(iv.start, iv.end) for iv in correlated_intervals(x, y, p)]
+        assert {(a, b + l - 1) for (l, a, b), fired in calls if fired} <= set(got)
+        assert got == oracle_level_walk(x.values, y.values, beta, 30)
+        assert got == oracle_maximal_intervals(x.values, y.values, beta, 30)
+
+    def test_random_series_match_the_walk(self, monkeypatch):
+        calls = certificate_spy(monkeypatch)
+
+        @given(
+            st.integers(0, 2**31 - 1),
+            st.integers(120, 500),
+            st.floats(0.3, 0.99),
+            st.integers(2, 79),
+            st.lists(st.floats(-0.02, 0.02), min_size=1, max_size=3),
+            st.booleans(),
+            st.booleans(),
+        )
+        @settings(max_examples=200)
+        def check(seed, n, beta, l_min, deltas, strong, rounded):
+            rng = np.random.default_rng(seed)
+            l_min = min(l_min, n // 3)
+            # back-to-back stretches coupled just below and above beta, one
+            # per delta, and optionally one far above it
+            rhos = [min(beta + d, 1.0) for d in deltas] + [np.sqrt(1 - (1 - beta**2) / 8)] * strong
+            cuts = np.sort(rng.choice(np.arange(1, n), size=len(rhos) - 1, replace=False))
+            x = rng.normal(size=n)
+            y = np.empty(n)
+            for lo, hi, rho in zip(np.r_[0, cuts], np.r_[cuts, n], rhos):
+                y[lo:hi] = rho * x[lo:hi] + np.sqrt(1 - rho**2) * rng.normal(size=hi - lo)
+            if rounded:
+                x, y = np.round(x, 1), np.round(y, 1)
+            p = IntervalParams(beta=beta, l_min=l_min, shifts=(0,))
+            got = [(iv.start, iv.end) for iv in correlated_intervals(ts(x), ts(y), p)]
+            assert got == oracle_level_walk(x, y, beta, l_min)
+
+        check()
+        assert any(fired for _, fired in calls)
 
 
 class TestLongestSet:
@@ -279,6 +411,11 @@ class TestMineShifted:
         b = mine_shifted(ts(y), ts(x), p)
         assert [(iv.start, iv.end) for iv in a] == [(iv.start, iv.end) for iv in b]
         assert [-(iv.shift or 0) for iv in a] == [(iv.shift or 0) for iv in b]
+
+    def test_misaligned_pair_raises(self):
+        x = np.random.default_rng(3).normal(size=200)
+        with pytest.raises(ShapeError, match="frame-aligned"):
+            mine_shifted(ts(x), ts(x, start=100), IntervalParams(l_min=50))
 
     def test_short_overlap_shifts_skipped(self):
         rng = np.random.default_rng(9)
