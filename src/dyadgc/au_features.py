@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSeries, EmptyOverlap, FormatError, ShapeError
 from .intervals import Interval, IntervalSet
-from .timeseries import STD_DDOF
+from .timeseries import STD_DDOF, runs
 
 #: the 17 AUs with intensity regression in OpenFace 2.0 output.
 AU_IDS: tuple[int, ...] = (1, 2, 4, 5, 6, 7, 9, 10, 12, 14, 15, 17, 20, 23, 25, 26, 45)
@@ -68,7 +68,7 @@ class AURecording:
 
     def __post_init__(self):
         frames = np.array(self.frame_indices, dtype=np.int64, copy=True)
-        conf = np.clip(np.array(self.confidence, dtype=float, copy=True), 0.0, 1.0)
+        conf = np.array(self.confidence, dtype=float, copy=True)
         # C order keeps every AU row contiguous, so row-wise reductions match 1-D ones
         intens = np.array(self.intensities, dtype=float, order="C", copy=True)
         if frames.ndim != 1 or conf.shape != frames.shape:
@@ -81,6 +81,10 @@ class AURecording:
             raise ConfigError(f"unknown condition {self.condition!r}")
         if self.role and self.role not in ROLES:
             raise ConfigError(f"unknown role {self.role!r}")
+        # clipping would keep a NaN and turn an Inf into a bound, so refuse both first
+        if not (np.isfinite(conf).all() and np.isfinite(intens).all()):
+            raise ShapeError("confidence and intensities must be finite")
+        np.clip(conf, 0.0, 1.0, out=conf)
         np.clip(intens, 0.0, INTENSITY_MAX, out=intens)
         for arr in (frames, conf, intens):
             arr.setflags(write=False)
@@ -335,13 +339,10 @@ def confidence_sync(s: AURecording, r: AURecording, threshold: float = 0.89) -> 
     s_kept = s.restrict(si[keep])
     r_kept = r.restrict(ri[keep])
     kept = common[keep]
-    breaks = np.flatnonzero(np.diff(kept) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [kept.size - 1]))
-    runs = IntervalSet(
-        tuple(Interval(int(kept[a]), int(kept[b])) for a, b in zip(starts, ends))
-    )
-    return SyncedPair(s_kept, r_kept, runs)
+    bits = np.zeros(kept[-1] - kept[0] + 1, dtype=bool)
+    bits[kept - kept[0]] = True
+    kept_runs = IntervalSet(tuple(Interval(a, b) for a, b in runs(bits, int(kept[0]))))
+    return SyncedPair(s_kept, r_kept, kept_runs)
 
 
 def baseline_stats(recordings: Iterable[AURecording]) -> AUBaseline:

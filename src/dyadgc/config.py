@@ -8,7 +8,7 @@ bare run reproduces the published procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .au_features import EXPRESSIONS_BY_NAME
@@ -120,17 +120,6 @@ def load_config(path) -> AnalysisConfig:
         key, _, val = line.partition("=")
         values[key.strip()] = _parse_value(key.strip(), val)
     return AnalysisConfig(**values)
-
-
-def dump_config(cfg: AnalysisConfig) -> str:
-    """Config serialized back to the flat file format."""
-    lines = []
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        if isinstance(val, tuple):
-            val = ",".join(str(v) for v in val)
-        lines.append(f"{f.name} = {val}")
-    return "\n".join(lines) + "\n"
 
 
 def with_overrides(cfg: AnalysisConfig, **overrides) -> AnalysisConfig:

@@ -53,10 +53,6 @@ class VarModel:
     """Least-squares fits of the four autoregressions at one model order."""
 
     order: int
-    coeffs_enriched_x: np.ndarray  # [a_1..a_M, b_1..b_M] for x_t
-    coeffs_enriched_y: np.ndarray  # [c_1..c_M, d_1..d_M] for y_t
-    coeffs_restricted_x: np.ndarray  # own-past-only coefficients for x_t
-    coeffs_restricted_y: np.ndarray
     resid_var_enriched_x: float
     resid_var_restricted_x: float
     resid_var_enriched_y: float
@@ -91,7 +87,7 @@ class Design:
 def _as_segments(segments) -> list[np.ndarray]:
     out = []
     for seg in segments:
-        arr = np.asarray(getattr(seg, "values", seg), dtype=float)
+        arr = np.asarray(seg, dtype=float)
         if arr.ndim != 1:
             raise ShapeError("segments must be one-dimensional")
         out.append(arr)
@@ -123,10 +119,10 @@ def build_design(x_segments, y_segments, order: int) -> Design:
     return Design(np.concatenate(xt), np.concatenate(yt), np.vstack(lx), np.vstack(ly))
 
 
-def _ols(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float, int]:
+def _ols(design: np.ndarray, targets: np.ndarray) -> tuple[float, int]:
     coeffs, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     resid = targets - design @ coeffs
-    return coeffs, float(resid @ resid), int(rank)
+    return float(resid @ resid), int(rank)
 
 
 def fit_var(x_segments, y_segments, order: int) -> VarModel:
@@ -142,24 +138,20 @@ def fit_var(x_segments, y_segments, order: int) -> VarModel:
     if t_eff >= 2 and (np.ptp(d.x_targets) == 0.0 or np.ptp(d.y_targets) == 0.0):
         raise SingularDesign("constant segment: no variation to regress on")
     enriched = np.column_stack([d.x_lags, d.y_lags])
-    ce_x, rss_e_x, rank_x = _ols(enriched, d.x_targets)
-    ce_y, rss_e_y, rank_y = _ols(enriched, d.y_targets)
+    rss_e_x, rank_x = _ols(enriched, d.x_targets)
+    rss_e_y, rank_y = _ols(enriched, d.y_targets)
     if t_eff >= 2 * order and min(rank_x, rank_y) < 2 * order:
         raise SingularDesign(
             f"rank-deficient design: rank {min(rank_x, rank_y)} < {2 * order}"
         )
-    cr_x, rss_r_x, _ = _ols(d.x_lags, d.x_targets)
-    cr_y, rss_r_y, _ = _ols(d.y_lags, d.y_targets)
+    rss_r_x, _ = _ols(d.x_lags, d.x_targets)
+    rss_r_y, _ = _ols(d.y_lags, d.y_targets)
     # Nested least squares guarantees rss_restricted >= rss_enriched; clamp
     # the tiny floating-point violations.
     rss_r_x = max(rss_r_x, rss_e_x)
     rss_r_y = max(rss_r_y, rss_e_y)
     return VarModel(
         order=order,
-        coeffs_enriched_x=ce_x,
-        coeffs_enriched_y=ce_y,
-        coeffs_restricted_x=cr_x,
-        coeffs_restricted_y=cr_y,
         resid_var_enriched_x=rss_e_x / t_eff,
         resid_var_restricted_x=rss_r_x / t_eff,
         resid_var_enriched_y=rss_e_y / t_eff,

@@ -25,8 +25,9 @@ its own sums and in the walk's, and applies the walk's flatness floor at the
 span's full width, so it is exact: a certificate that fails leaves the run
 to the walk.
 
-All interval coordinates are absolute frame indices (closed intervals), so
-results from different shifts, runs, and action units can be pooled directly.
+:func:`correlated_intervals` reports sample indices into its two arrays; from
+:func:`mine_shifted` on, intervals are closed absolute frame ranges, so results
+from different shifts, runs, and action units can be pooled directly.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EmptyInput, ShapeError
-from .timeseries import BinaryMask, TimeSeries, median_filter
+from .timeseries import TimeSeries, median_filter, runs
 
 #: relative variance floor below which a window is treated as constant (r = 0).
 _FLAT_REL = 1e-10
@@ -117,15 +118,15 @@ class IntervalSet:
     def total_length(self) -> int:
         return sum(iv.length for iv in self.intervals)
 
-    def coverage_mask(self, length: int, start_frame: int = 0) -> BinaryMask:
-        """Coverage as a mask over ``[start_frame, start_frame + length - 1]``."""
+    def coverage_mask(self, length: int, start_frame: int = 0) -> np.ndarray:
+        """Coverage as a bool array over frames ``[start_frame, start_frame + length - 1]``."""
         bits = np.zeros(length, dtype=bool)
         last = start_frame + length - 1
         for iv in self.intervals:
             if iv.start < start_frame or iv.end > last:
                 raise ShapeError(f"{iv} outside span [{start_frame}, {last}]")
             bits[iv.start - start_frame : iv.end - start_frame + 1] = True
-        return BinaryMask(bits, start_frame)
+        return bits
 
     def to_tsv(self) -> str:
         """One ``start<TAB>end<TAB>shift`` line per interval (shift may be empty)."""
@@ -238,33 +239,37 @@ def _certified(csum, l: int, a: int, b: int, beta: float, vx: np.ndarray, vy: np
     return 1.0 - (syy - sxy * sxy / sxx) / m_y >= beta * beta + margin
 
 
-def correlated_intervals(x: TimeSeries, y: TimeSeries, p: IntervalParams) -> list[Interval]:
-    """All maximal correlated intervals between two aligned series.
+def correlated_intervals(x: np.ndarray, y: np.ndarray, p: IntervalParams) -> list[Interval]:
+    """All maximal correlated intervals between two 1-D signals of equal length.
 
-    The result is sorted by start frame; intervals may overlap each other.
-    Coordinates are absolute frames (offset by ``x.start_frame``).
+    The result is sorted by start; intervals may overlap each other.
+    Coordinates are sample indices into ``x`` and ``y``. A non-finite value
+    raises :class:`ShapeError`.
     """
-    _require_aligned(x, y, "correlated_intervals")
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ShapeError(f"need two 1-D signals of equal length, got {x.shape} and {y.shape}")
     n = len(x)
     if n < p.l_min:
         raise ShapeError(f"series length {n} below minimum interval length {p.l_min}")
-    csum = _prefix_sums(x.values, y.values)
+    csum = _prefix_sums(x, y)
+    # a NaN or Inf anywhere (or an overflowing square) leaves every later prefix total non-finite
+    if not np.isfinite([c[-1] for c in csum[:5]]).all():
+        raise ShapeError("correlated_intervals needs finite signals")
     tol = csum[5]
-    off = x.start_frame
 
     out: list[Interval] = []
     l = p.l_min
     # valid length-l starts, as closed runs [a, b]
-    runs = BinaryMask(_valid_starts(_window_stats(csum, l, 0, n - l + 1), l, p.beta, tol)).runs()
-    while runs:
+    live = runs(_valid_starts(_window_stats(csum, l, 0, n - l + 1), l, p.beta, tol))
+    while live:
         nxt_runs = []
         certify = (l - p.l_min) % _CERT_EVERY == 0
-        for a, b in runs:
+        for a, b in live:
             # start s is valid at length l + 1 iff s and s + 1 are valid at
             # length l (so a <= s < b) and its own r clears the threshold
             stats = _window_stats(csum, l + 1, a, b)
             if certify and b - a + 1 >= _CERT_MIN_WIDTH and _certified(csum, l, a, b, p.beta, *stats[:2]):
-                out.append(Interval(off + a, off + b + l - 1))
+                out.append(Interval(a, b + l - 1))
                 continue
             nxt = _valid_starts(stats, l + 1, p.beta, tol)
             if b > a and nxt.all():
@@ -273,9 +278,9 @@ def correlated_intervals(x: TimeSeries, y: TimeSeries, p: IntervalParams) -> lis
             # maximal: neither [s - 1, s + l - 1] nor [s, s + l] is valid
             grown = np.concatenate(([False], nxt)) | np.concatenate((nxt, [False]))
             for s in np.flatnonzero(~grown):
-                out.append(Interval(off + a + int(s), off + a + int(s) + l - 1))
-            nxt_runs += BinaryMask(nxt, a).runs()
-        runs = nxt_runs
+                out.append(Interval(a + int(s), a + int(s) + l - 1))
+            nxt_runs += runs(nxt, a)
+        live = nxt_runs
         l += 1
     out.sort()
     return out
@@ -353,10 +358,9 @@ def mine_shifted(x: TimeSeries, y: TimeSeries, p: IntervalParams) -> IntervalSet
             xa, ya, off = x.values[: n - s], y.values[s:], 0
         else:
             xa, ya, off = x.values[-s:], y.values[: n + s], -s
-        xs = TimeSeries(xa, x.start_frame + off)
-        ys = TimeSeries(ya, x.start_frame + off)
-        for iv in correlated_intervals(xs, ys, p):
-            candidates.append(Interval(iv.start, iv.end, shift=s))
+        off += x.start_frame
+        for iv in correlated_intervals(xa, ya, p):
+            candidates.append(Interval(off + iv.start, off + iv.end, shift=s))
     return longest_set(candidates)
 
 
@@ -393,11 +397,10 @@ def postprocess(s: IntervalSet, p: IntervalParams, series_len: int, start_frame:
     """
     if series_len <= 0:
         return IntervalSet()
-    mask = s.coverage_mask(series_len, start_frame)
-    filtered = median_filter(mask, p.median_kernel)
+    filtered = median_filter(s.coverage_mask(series_len, start_frame), p.median_kernel)
     last = start_frame + series_len - 1
     merged: list[list[int]] = []
-    for a, b in filtered.runs():
+    for a, b in runs(filtered, start_frame):
         a = max(a - p.extension, start_frame)
         b = min(b + p.extension, last)
         if merged and a <= merged[-1][1] + 1:
@@ -407,14 +410,19 @@ def postprocess(s: IntervalSet, p: IntervalParams, series_len: int, start_frame:
     return IntervalSet(tuple(Interval(a, b) for a, b in merged))
 
 
-def segment_series(x: TimeSeries, y: TimeSeries, s: IntervalSet) -> list[tuple[TimeSeries, TimeSeries]]:
-    """Cut the aligned sub-series pair for every interval.
+def segment_series(x: TimeSeries, y: TimeSeries, s: IntervalSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The aligned ``(x, y)`` samples of every interval, as read-only views.
 
-    Interval boundaries stay explicit (one pair per interval, anchored at its
-    own start frame) so downstream regressions can refuse to straddle them.
+    Interval boundaries stay explicit (one pair per interval) so downstream
+    regressions can refuse to straddle them. An interval outside the series
+    span raises :class:`ShapeError`.
     """
     _require_aligned(x, y, "segment_series")
+    first, last = x.start_frame, x.start_frame + len(x) - 1
     out = []
     for iv in s:
-        out.append((x.slice_frames(iv.start, iv.end), y.slice_frames(iv.start, iv.end)))
+        if iv.start < first or iv.end > last:
+            raise ShapeError(f"{iv} outside series span [{first}, {last}]")
+        lo, hi = iv.start - first, iv.end - first + 1
+        out.append((x.values[lo:hi], y.values[lo:hi]))
     return out

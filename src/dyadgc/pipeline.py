@@ -12,8 +12,9 @@ The batch is a chain of stages, and each command runs only the ones it needs:
    once per pair and condition; ``_mine_task`` stops here);
 4. :func:`analyze_pair_condition` runs the Granger tests on the selected
    segments and over the full kept span, on the same standardized signals,
-   each selection mined or written by an earlier run; in ``per_au`` mode each
-   AU's two tests run in its mine pass and the expression votes over them;
+   each selection mined or written by an earlier run (the full span is the
+   selection of all kept runs); in ``per_au`` mode each AU's two tests run in
+   its mine pass and the expression votes over them;
 5. the outcomes are counted into per-condition tables.
 
 Cells that fail (degenerate fits, not enough samples) are recorded and
@@ -239,13 +240,13 @@ def _kept_run_signals(pair: SyncedPair, s_vals: np.ndarray, r_vals: np.ndarray):
     ``s_vals``/``r_vals`` align with the synced frame indices. Standardization
     uses the mean/std over all kept samples, then the series is cut at the
     confidence gaps, so every run is a contiguous TimeSeries in absolute frame
-    coordinates. Fewer than two kept samples cannot be standardized and give
-    no run, so every test on them reports ``insufficient``.
+    coordinates; the tests work on array views of these runs. Fewer than two
+    kept samples cannot be standardized and give no run, so every test on them
+    reports ``insufficient``.
     """
     if len(s_vals) < 2:
         return []
-    s_vals = standardize(TimeSeries(s_vals)).values
-    r_vals = standardize(TimeSeries(r_vals)).values
+    s_vals, r_vals = standardize(s_vals), standardize(r_vals)
     frames = pair.sender.frame_indices
     runs = []
     for iv in pair.kept_frames:
@@ -267,15 +268,15 @@ def _mine_au(runs, params, span: tuple[int, int]) -> IntervalSet:
 
 
 def _run_gc(segments, config: AnalysisConfig) -> tuple[str, GCTestResult | None]:
-    """One Granger analysis over aligned (x, y) segments; returns (status, result).
+    """One Granger analysis over aligned (x, y) array segments; returns (status, result).
 
     Each segment is demeaned first: the autoregressions carry no intercept,
     and a selected interval sits on an elevated activation level, so leaving
     the segment mean in would let cross-lags soak up the constant and fake
     bidirectional causality.
     """
-    segs_x = [x.values - x.values.mean() for x, _ in segments]
-    segs_y = [y.values - y.values.mean() for _, y in segments]
+    segs_x = [x - x.mean() for x, _ in segments]
+    segs_y = [y - y.mean() for _, y in segments]
     lengths = [len(x) for x, _ in segments]
     try:
         m_max = cap_order(lengths, config.m_max)
@@ -306,13 +307,14 @@ def _test_selected(runs, selection: IntervalSet, config: AnalysisConfig):
     """Interval-selected (status, result) for one sender/receiver signal.
 
     The selection is clipped to each kept run, so a confidence gap always
-    splits a selected interval. The full-span test is ``_run_gc(runs, config)``.
+    splits a selected interval. With ``pair.kept_frames`` as the selection
+    this is the full-span test.
     """
     if len(selection) == 0:
         return "no_intervals", None
     segments = []
     for xs, ys in runs:
-        run = IntervalSet((Interval(xs.start_frame, xs.end_frame),))
+        run = IntervalSet((Interval(xs.start_frame, xs.start_frame + len(xs) - 1),))
         segments += segment_series(xs, ys, intersect_sets([selection, run]))
     return _run_gc(segments, config)
 
@@ -368,7 +370,10 @@ def _mine(pair: SyncedPair, config: AnalysisConfig, with_tests: bool):
         runs = _kept_run_signals(pair, pair.sender.intensities[row], pair.receiver.intensities[row])
         mined[au] = _mine_au(runs, params, span)
         if with_tests:
-            au_tests[au] = (_run_gc(runs, config), _test_selected(runs, mined[au], config))
+            au_tests[au] = (
+                _test_selected(runs, pair.kept_frames, config),
+                _test_selected(runs, mined[au], config),
+            )
     selections = {e.name: intersect_sets([mined[au] for au in sorted(e.au_ids)]) for e in exprs}
     return selections, au_tests
 
@@ -426,7 +431,7 @@ def analyze_pair_condition(
             runs = _kept_run_signals(
                 pair, expression_signal(pair.sender, expr), expression_signal(pair.receiver, expr)
             )
-            full_status, full_result = _run_gc(runs, config)
+            full_status, full_result = _test_selected(runs, pair.kept_frames, config)
             sel_status, sel_result = _test_selected(runs, selection, config)
             full_outcome = None if full_result is None else full_result.outcome
             sel_outcome = None if sel_result is None else sel_result.outcome

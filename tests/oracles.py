@@ -21,7 +21,7 @@ from scipy.stats import rankdata
 from dyadgc.errors import ConfigError, InsufficientData
 from dyadgc.granger import build_design
 from dyadgc.intervals import _prefix_sums
-from dyadgc.timeseries import BinaryMask
+from dyadgc.timeseries import runs as mask_runs
 
 
 def window_corr(xv, yv, a, b) -> float:
@@ -105,7 +105,7 @@ def oracle_level_walk(xv, yv, beta, l_min):
     n = len(xv)
     out = []
     l = l_min
-    runs = BinaryMask(_walk_valid_starts(csum, l, beta, 0, n - l + 1)).runs()
+    runs = mask_runs(_walk_valid_starts(csum, l, beta, 0, n - l + 1))
     while runs:
         nxt_runs = []
         for a, b in runs:
@@ -116,7 +116,7 @@ def oracle_level_walk(xv, yv, beta, l_min):
             grown = np.concatenate(([False], nxt)) | np.concatenate((nxt, [False]))
             for s in np.flatnonzero(~grown):
                 out.append((a + int(s), a + int(s) + l - 1))
-            nxt_runs += BinaryMask(nxt, a).runs()
+            nxt_runs += mask_runs(nxt, a)
         runs = nxt_runs
         l += 1
     out.sort()

@@ -62,7 +62,7 @@ def test_criterion_1_interval_mining_matches_bruteforce():
         y = base + noise * rng.normal(size=n)
 
         params = IntervalParams(beta=beta, l_min=l_min, shifts=(0,))
-        found = correlated_intervals(TimeSeries(x), TimeSeries(y), params)
+        found = correlated_intervals(x, y, params)
         got = [(iv.start, iv.end) for iv in found]
         want = oracle_maximal_intervals(x, y, beta, l_min)
         assert got == want, f"trial {trial}: miner {got} != oracle {want}"
@@ -83,7 +83,7 @@ def test_criterion_2_planted_window_reconstruction():
     planted = [(100, 250, 1.0), (350, 500, 0.9)]
     x, y = gen_window_pair(600, planted, seed=1)
     params = IntervalParams(beta=0.8, l_min=75, shifts=(0,))
-    found = correlated_intervals(x, y, params)
+    found = correlated_intervals(x.values, y.values, params)
     # the result must also be definitionally exact
     assert [(iv.start, iv.end) for iv in found] == oracle_maximal_intervals(
         x.values, y.values, 0.8, 75
@@ -171,7 +171,7 @@ def test_criterion_5_interval_selection_beats_full_span():
     full_ok = sel_ok = 0
     for seed in range(9000, 9000 + trials):
         x, y, _ = gen_masked_transient_pair(length=6000, seed=seed)
-        xs, ys = standardize(x), standardize(y)
+        xs, ys = TimeSeries(standardize(x.values)), TimeSeries(standardize(y.values))
         full = _select_and_test([xs.values], [ys.values])
         full_ok += full.outcome == Direction.SENDER_CAUSES_RECEIVER
 
@@ -179,8 +179,8 @@ def test_criterion_5_interval_selection_beats_full_span():
         if not len(sel):
             continue
         segs = segment_series(xs, ys, sel)
-        segs_x = [s.values - s.values.mean() for s, _ in segs]
-        segs_y = [s.values - s.values.mean() for _, s in segs]
+        segs_x = [sx - sx.mean() for sx, _ in segs]
+        segs_y = [sy - sy.mean() for _, sy in segs]
         r = _select_and_test(segs_x, segs_y)
         sel_ok += r.outcome == Direction.SENDER_CAUSES_RECEIVER
     margin = (sel_ok - full_ok) * 100.0 / trials

@@ -23,9 +23,9 @@ from dyadgc.au_features import (
     parse_au_csv,
     write_au_csv,
 )
-from dyadgc.errors import ConfigError, DegenerateSeries, EmptyOverlap, FormatError
+from dyadgc.errors import ConfigError, DegenerateSeries, EmptyOverlap, FormatError, ShapeError
 from dyadgc.synth import make_demo_cohort
-from dyadgc.timeseries import BinaryMask
+from dyadgc.timeseries import runs
 
 DATA = Path(__file__).parent / "data"
 
@@ -121,6 +121,22 @@ EDGE_CASES = {
     "header_without_newline": LINES[0],
     "header_and_blank_lines": LINES[0] + "\n\n\n",
 }
+
+
+class TestRecording:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["intensity", "confidence"])
+    def test_non_finite_value_rejected(self, field, bad):
+        # clipping keeps a NaN, which later aborted the pair's analysis, and
+        # would turn an Inf into a bound
+        n = 600
+        conf, intens = np.ones(n), np.ones((len(AU_IDS), n))
+        if field == "intensity":
+            intens[AU_ROW[6], 100] = bad
+        else:
+            conf[100] = bad
+        with pytest.raises(ShapeError, match="finite"):
+            AURecording("p1-sender", "respectful", "sender", np.arange(n), conf, intens)
 
 
 class TestParse:
@@ -442,7 +458,7 @@ class TestActivation:
         base = baseline_stats([rec])
         active = au_activation(rec, base)
         # columns start at the recording's first frame, 1
-        assert BinaryMask(active[AU_ROW[6]], 1).runs() == [(11, 15)]
+        assert runs(active[AU_ROW[6]], 1) == [(11, 15)]
 
     def test_raising_factor_is_monotone(self):
         rng = np.random.default_rng(1)

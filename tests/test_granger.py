@@ -18,7 +18,6 @@ from dyadgc.granger import (
     gc_test,
     select_order,
 )
-from dyadgc.timeseries import TimeSeries
 from oracles import oracle_select_order
 
 
@@ -78,17 +77,21 @@ class TestBuildDesign:
 
 class TestFitVar:
     def test_known_generator_coefficient(self):
+        # y_t = 0.8 x_(t-1) + e_t with white x: the enriched fit leaves the noise
+        # variance, and the lag of x explains 0.8^2 var(x) on top of y's own past
         x, y = coupled_pair(7, strength=0.8, noise=0.1)
         m = fit_var([x], [y], 1)
-        assert m.coeffs_enriched_y[0] == pytest.approx(0.8, abs=0.05)
+        assert m.resid_var_enriched_y == pytest.approx(0.1**2, rel=0.1)
+        gain = m.resid_var_restricted_y - m.resid_var_enriched_y
+        assert np.sqrt(gain / np.var(x)) == pytest.approx(0.8, abs=0.05)
 
     def test_independent_coefficients_near_zero(self):
+        # with y's lags carrying nothing, T (s'/s - 1) is about chi-squared with
+        # `order` degrees of freedom; the bound is its 1e-6 tail, about 5 sigma
         x, y = ar1_pair(8)
         m = fit_var([x], [y], 2)
-        t_eff = m.n_effective
-        se = np.sqrt(m.resid_var_enriched_x / t_eff)
-        for b in m.coeffs_enriched_x[2:]:
-            assert abs(b) < 5 * se
+        wald = m.n_effective * (m.resid_var_restricted_x / m.resid_var_enriched_x - 1.0)
+        assert wald < sps.chi2.isf(1e-6, 2)
 
     def test_exact_interpolation_single_row(self):
         m = fit_var([np.array([1.0, 2.0])], [np.array([3.0, 1.0])], 1)
@@ -191,7 +194,7 @@ class TestSelectOrderOracle:
             rng = np.random.default_rng(seed)
             xs, _, _ = _random_system(1 + 5 * seed)  # never zeroed
             c = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
-            segments = [(TimeSeries(x), TimeSeries(c * x)) for x in xs]
+            segments = [(x, c * x) for x in xs]
             assert pipeline._run_gc(segments, cfg) == (status, None), seed
 
 

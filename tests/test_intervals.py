@@ -17,7 +17,7 @@ from dyadgc.intervals import (
     segment_series,
 )
 from dyadgc.synth import gen_window_pair
-from dyadgc.timeseries import TimeSeries
+from dyadgc.timeseries import TimeSeries, runs
 
 from oracles import (
     oracle_level_walk,
@@ -43,7 +43,7 @@ def correlated_pair(rng, n, rho=0.85):
 
 def mined(x, y, beta, l_min):
     p = IntervalParams(beta=beta, l_min=l_min, shifts=(0,))
-    return [(iv.start, iv.end) for iv in correlated_intervals(ts(x), ts(y), p)]
+    return [(iv.start, iv.end) for iv in correlated_intervals(x, y, p)]
 
 
 def level_runs(x, y, beta, l_min):
@@ -82,21 +82,24 @@ class TestIntervalTypes:
     def test_mask_round_trip(self):
         s = IntervalSet((Interval(2, 4), Interval(8, 8)))
         mask = s.coverage_mask(10, 0)
-        assert mask.runs() == [(iv.start, iv.end) for iv in s]
+        assert runs(mask) == [(iv.start, iv.end) for iv in s]
 
 
 class TestCorrelatedIntervals:
     def test_identical_series_single_maximal(self):
         rng = np.random.default_rng(1)
-        x = ts(rng.normal(size=200))
+        x = rng.normal(size=200)
         p = IntervalParams(beta=0.8, l_min=75, shifts=(0,))
         out = correlated_intervals(x, x, p)
         assert [(iv.start, iv.end) for iv in out] == [(0, 199)]
 
     def test_absolute_coordinates(self):
+        # sample indices from the arrays, absolute frames from mine_shifted's run
         rng = np.random.default_rng(2)
-        x = ts(rng.normal(size=120), start=500)
-        out = correlated_intervals(x, x, IntervalParams(beta=0.8, l_min=50, shifts=(0,)))
+        x = rng.normal(size=120)
+        p = IntervalParams(beta=0.8, l_min=50, shifts=(0,))
+        assert [(iv.start, iv.end) for iv in correlated_intervals(x, x, p)] == [(0, 119)]
+        out = mine_shifted(ts(x, start=500), ts(x, start=500), p)
         assert [(iv.start, iv.end) for iv in out] == [(500, 619)]
 
     def test_white_noise_matches_oracle(self):
@@ -104,7 +107,7 @@ class TestCorrelatedIntervals:
         x = rng.normal(size=500)
         y = rng.normal(size=500)
         p = IntervalParams(beta=0.8, l_min=75, shifts=(0,))
-        got = [(iv.start, iv.end) for iv in correlated_intervals(ts(x), ts(y), p)]
+        got = [(iv.start, iv.end) for iv in correlated_intervals(x, y, p)]
         assert got == oracle_maximal_intervals(x, y, 0.8, 75)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -115,7 +118,7 @@ class TestCorrelatedIntervals:
         beta = float(rng.choice([0.5, 0.8]))
         x, y = correlated_pair(rng, n, rho=0.7)
         got = [(iv.start, iv.end) for iv in
-               correlated_intervals(ts(x), ts(y), IntervalParams(beta=beta, l_min=l_min, shifts=(0,)))]
+               correlated_intervals(x, y, IntervalParams(beta=beta, l_min=l_min, shifts=(0,)))]
         assert got == oracle_maximal_intervals(x, y, beta, l_min)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -131,7 +134,7 @@ class TestCorrelatedIntervals:
     def test_planted_windows_recovered(self):
         x, y = gen_window_pair(600, [(100, 250, 1.0), (350, 500, 0.9)], seed=1)
         p = IntervalParams(beta=0.8, l_min=75, shifts=(0,))
-        got = [(iv.start, iv.end) for iv in correlated_intervals(x, y, p)]
+        got = [(iv.start, iv.end) for iv in correlated_intervals(x.values, y.values, p)]
         assert got == oracle_maximal_intervals(x.values, y.values, 0.8, 75)
         assert len(got) == 2
         for (a, b), (pa, pb) in zip(got, [(100, 250), (350, 500)]):
@@ -141,7 +144,7 @@ class TestCorrelatedIntervals:
         rng = np.random.default_rng(7)
         x, y = correlated_pair(rng, 300, rho=0.9)
         p = IntervalParams(beta=0.8, l_min=30, shifts=(0,))
-        for iv in correlated_intervals(ts(x), ts(y), p):
+        for iv in correlated_intervals(x, y, p):
             whole = oracle_pearson(x[iv.start : iv.end + 1], y[iv.start : iv.end + 1])
             assert whole >= p.beta - 1e-12
             for a in range(iv.start, iv.end - p.l_min + 2):
@@ -150,12 +153,23 @@ class TestCorrelatedIntervals:
 
     def test_too_short_raises(self):
         with pytest.raises(ShapeError):
-            correlated_intervals(ts(np.zeros(10)), ts(np.zeros(10)), IntervalParams())
+            correlated_intervals(np.zeros(10), np.zeros(10), IntervalParams())
 
     def test_misaligned_pair_raises(self):
         x = np.random.default_rng(3).normal(size=200)
-        with pytest.raises(ShapeError, match="frame-aligned"):
-            correlated_intervals(ts(x), ts(x, start=100), IntervalParams(l_min=50))
+        with pytest.raises(ShapeError, match="equal length"):
+            correlated_intervals(x, x[:150], IntervalParams(l_min=50))
+        with pytest.raises(ShapeError, match="equal length"):
+            correlated_intervals(x.reshape(2, 100), x.reshape(2, 100), IntervalParams(l_min=50))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_input_raises(self, bad):
+        # 1e200 is finite, but its square overflows the prefix sums
+        x = np.random.default_rng(3).normal(size=200)
+        y = x.copy()
+        y[120] = bad
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ShapeError, match="finite"):
+            correlated_intervals(x, y, IntervalParams(l_min=50))
 
 
 class TestRunSlicedLevels:
@@ -238,7 +252,7 @@ class TestCertificate:
         calls = certificate_spy(monkeypatch)
         x, y = gen_window_pair(700, [(100, 599, 0.99)], seed=21)
         p = IntervalParams(beta=0.8, l_min=75, shifts=(0,))
-        got = [(iv.start, iv.end) for iv in correlated_intervals(x, y, p)]
+        got = [(iv.start, iv.end) for iv in correlated_intervals(x.values, y.values, p)]
         assert got == oracle_maximal_intervals(x.values, y.values, 0.8, 75)
         certified = [(a, b + l - 1) for (l, a, b), fired in calls if fired]
         assert certified and set(certified) <= set(got)
@@ -254,7 +268,7 @@ class TestCertificate:
         x = rng.normal(size=n)
         y = x + 2.0 * np.sin(2 * np.pi * np.arange(n) / 600) + 0.1 * rng.normal(size=n)
         p = IntervalParams(beta=0.8, l_min=30, shifts=(0,))
-        got = [(iv.start, iv.end) for iv in correlated_intervals(ts(x), ts(y), p)]
+        got = [(iv.start, iv.end) for iv in correlated_intervals(x, y, p)]
         assert level_runs(x, y, 0.8, 30)[30] == [(0, n - 30)]  # valid at l_min
         assert (windows_corr(x, y, 300) < 0.8).any()  # but not at 300 frames
         assert got == oracle_maximal_intervals(x, y, 0.8, 30)
@@ -299,7 +313,7 @@ class TestCertificate:
         beta = 0.8
         x, y = gen_window_pair(600, [(50, 549, beta + delta)], seed=300 + seed, outside_std=2.0)
         p = IntervalParams(beta=beta, l_min=30, shifts=(0,))
-        got = [(iv.start, iv.end) for iv in correlated_intervals(x, y, p)]
+        got = [(iv.start, iv.end) for iv in correlated_intervals(x.values, y.values, p)]
         assert {(a, b + l - 1) for (l, a, b), fired in calls if fired} <= set(got)
         assert got == oracle_level_walk(x.values, y.values, beta, 30)
         assert got == oracle_maximal_intervals(x.values, y.values, beta, 30)
@@ -331,7 +345,7 @@ class TestCertificate:
             if rounded:
                 x, y = np.round(x, 1), np.round(y, 1)
             p = IntervalParams(beta=beta, l_min=l_min, shifts=(0,))
-            got = [(iv.start, iv.end) for iv in correlated_intervals(ts(x), ts(y), p)]
+            got = [(iv.start, iv.end) for iv in correlated_intervals(x, y, p)]
             assert got == oracle_level_walk(x, y, beta, l_min)
 
         check()
@@ -379,7 +393,7 @@ class TestMineShifted:
         x, y = correlated_pair(rng, 260, rho=0.9)
         p0 = IntervalParams(beta=0.8, l_min=40, shifts=(0,))
         mined = mine_shifted(ts(x), ts(y), p0)
-        plain = longest_set(correlated_intervals(ts(x), ts(y), p0))
+        plain = longest_set(correlated_intervals(x, y, p0))
         assert [(iv.start, iv.end) for iv in mined] == [
             (iv.start, iv.end) for iv in plain
         ]
@@ -492,7 +506,7 @@ class TestPostprocess:
         s = IntervalSet(tuple(ivs))
         p = IntervalParams(median_kernel=21, extension=5)
         out = postprocess(s, p, 1000, 0)
-        bits = oracle_majority_filter(s.coverage_mask(1000, 0).bits, 21)
+        bits = oracle_majority_filter(s.coverage_mask(1000, 0), 21)
         # dilate + merge on the oracle side
         runs = []
         i = 0
@@ -521,13 +535,16 @@ class TestSegmentSeries:
         y = ts(rng.normal(size=100))
         segs = segment_series(x, y, IntervalSet((Interval(0, 99),)))
         assert len(segs) == 1
-        np.testing.assert_array_equal(segs[0][0].values, x.values)
+        np.testing.assert_array_equal(segs[0][0], x.values)
+        np.testing.assert_array_equal(segs[0][1], y.values)
+        assert not segs[0][0].flags.writeable
 
     def test_offsets_recorded(self):
         x = ts(np.arange(50, dtype=float), start=10)
         y = ts(np.arange(50, dtype=float) * 2, start=10)
         segs = segment_series(x, y, IntervalSet((Interval(15, 24), Interval(40, 49))))
-        assert [s[0].start_frame for s in segs] == [15, 40]
+        # frame f sits at sample f - 10, whose value is f - 10 in x and twice that in y
+        assert [(sx[0], sy[0]) for sx, sy in segs] == [(5.0, 10.0), (30.0, 60.0)]
         assert [len(s[0]) for s in segs] == [10, 10]
 
     def test_coverage_matches_mask(self):
@@ -536,7 +553,7 @@ class TestSegmentSeries:
         y = ts(rng.normal(size=200))
         s = IntervalSet((Interval(3, 30), Interval(77, 150), Interval(190, 199)))
         segs = segment_series(x, y, s)
-        assert sum(len(sx) for sx, _ in segs) == s.coverage_mask(200, 0).bits.sum()
+        assert sum(len(sx) for sx, _ in segs) == s.coverage_mask(200, 0).sum()
 
     def test_out_of_bounds(self):
         x = ts(np.zeros(50))

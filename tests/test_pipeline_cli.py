@@ -6,8 +6,9 @@ import pytest
 from dyadgc import pipeline
 from dyadgc.au_features import AU_IDS, AU_ROW, EXPRESSIONS, AURecording, parse_au_csv, write_au_csv
 from dyadgc.cli import main
-from dyadgc.config import AnalysisConfig, dump_config, load_config, with_overrides
+from dyadgc.config import AnalysisConfig, load_config, with_overrides
 from dyadgc.errors import ConfigError, FormatError
+from dyadgc.granger import cap_order, gc_test, select_order
 from dyadgc.intervals import Interval, IntervalSet
 from dyadgc.pipeline import (
     Manifest,
@@ -22,6 +23,7 @@ from dyadgc.pipeline import (
     run_pipeline,
 )
 from dyadgc.synth import make_demo_cohort
+from dyadgc.timeseries import standardize
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +66,7 @@ class TestConfig:
     def test_file_round_trip(self, tmp_path):
         cfg = AnalysisConfig(beta=0.7, shifts=(-4, 0, 4), expressions=("happiness_lower",))
         path = tmp_path / "cfg.txt"
-        path.write_text(dump_config(cfg))
+        path.write_text("beta = 0.7\nshifts = -4,0,4\nexpressions = happiness_lower\n")
         assert load_config(path) == cfg
 
     def test_comments_and_unknown_keys(self, tmp_path):
@@ -282,6 +284,20 @@ class TestPerCellPath:
         order = cell.sel_result.order
         # pieces [200, 299] and [310, 500]: each loses its first `order` rows
         assert cell.sel_result.n_effective == (100 - order) + (191 - order)
+
+    def test_full_span_is_the_kept_runs(self):
+        # frames 300..309 fail the confidence cutoff: the full span is two kept runs
+        kept = [f for f in range(600) if not 300 <= f <= 309]
+        sender, receiver = _pair_with_kept(600, kept)
+        cfg = AnalysisConfig(expressions=("happiness_upper",))
+        (cell,) = analyze_pair_condition(sender, receiver, cfg)
+        # standardized over all kept frames, cut at the gap, each run demeaned
+        signals = [standardize(rec.intensities[AU_ROW[6], kept]) for rec in (sender, receiver)]
+        segs_x, segs_y = ([v[:300] - v[:300].mean(), v[300:] - v[300:].mean()] for v in signals)
+        order = select_order(segs_x, segs_y, cap_order([300, 290], cfg.m_max), cfg.order_criterion)
+        assert cell.full_status == "ok"
+        assert cell.full_result == gc_test(segs_x, segs_y, order, cfg.alpha)
+        assert cell.full_result.n_effective == (300 - order) + (290 - order)
 
 
 class TestMiningPerAU:

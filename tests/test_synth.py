@@ -20,7 +20,7 @@ from dyadgc.synth import (
     gen_window_pair,
     make_demo_cohort,
 )
-from dyadgc.timeseries import BinaryMask
+from dyadgc.timeseries import runs
 
 
 def lagged_corr(x, y, lag):
@@ -131,8 +131,8 @@ class TestAUFixture:
             au_activation(rec, base), EXPRESSIONS_BY_NAME["happiness_lower"]
         )
         # CSV frames are 1-based, and the activation columns start at the first frame
-        runs = BinaryMask(active, rec.frame_indices[0]).runs()
-        assert runs == [(iv.start + 1, iv.end + 1) for iv in spec.active_intervals]
+        got = runs(active, int(rec.frame_indices[0]))
+        assert got == [(iv.start + 1, iv.end + 1) for iv in spec.active_intervals]
 
     def test_low_confidence_frames_dropped_by_sync(self, tmp_path):
         spec, (s_path, r_path, truths) = self.make(tmp_path, low_conf_frames=(10, 11, 700))
