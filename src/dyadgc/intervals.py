@@ -92,9 +92,6 @@ class Interval:
     def length(self) -> int:
         return self.end - self.start + 1
 
-    def overlaps(self, other: "Interval") -> bool:
-        return self.start <= other.end and other.start <= self.end
-
 
 @dataclass(frozen=True)
 class IntervalSet:

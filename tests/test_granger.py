@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy import signal as spsig
+from scipy import special
 from scipy import stats as sps
 
-from dyadgc import pipeline
+from dyadgc import granger, pipeline
 from dyadgc.config import AnalysisConfig
 from dyadgc.errors import ConfigError, EmptyInput, InsufficientData, SingularDesign
 from dyadgc.granger import (
@@ -278,6 +279,52 @@ class TestFSurvival:
     def test_invalid_dof(self):
         with pytest.raises(ConfigError):
             f_sf(1.0, 0, 10)
+
+    @pytest.mark.parametrize("f", [-0.5, float("nan")])
+    def test_negative_or_nan_f_refused(self, f):
+        with pytest.raises(ConfigError):
+            f_sf(f, 2, 100)
+
+    def test_infinite_f_gives_zero(self):
+        assert f_sf(float("inf"), 3, 100) == 0.0
+
+    @staticmethod
+    def scipy_sf(f, d1, d2):
+        # x = d2 / (d2 + d1 f) rounded to a double loses the relative accuracy
+        # of 1 - x when d1 f << d2, so the reference takes whichever of x and
+        # 1 - x is below one half
+        if d1 * f > d2:
+            return float(special.betainc(d2 / 2, d1 / 2, d2 / (d2 + d1 * f)))
+        return float(special.betaincc(d1 / 2, d2 / 2, d1 * f / (d2 + d1 * f)))
+
+    F_GRID = np.exp(np.sort(np.random.default_rng(20).uniform(-8.0, 6.0, 150)))
+
+    def assert_matches_scipy(self, d1s, d2s):
+        worst_abs = worst_rel = 0.0
+        for d1 in d1s:
+            for d2 in d2s:
+                for f in self.F_GRID:
+                    want = self.scipy_sf(f, d1, d2)
+                    err = abs(f_sf(float(f), d1, d2) - want)
+                    worst_abs = max(worst_abs, err)
+                    if want >= 1e-300:
+                        worst_rel = max(worst_rel, err / want)
+        assert worst_abs <= 2e-13
+        assert worst_rel <= 1e-11
+
+    def test_matches_scipy_incomplete_beta(self):
+        self.assert_matches_scipy(
+            range(1, 13), (1, 2, 3, 5, 17, 40, 120, 1000, 2000, 5000, 9001, 16700, 20000)
+        )
+
+    def test_converges_at_a_million_denominator_dof(self):
+        # odd d1 never ends the fraction early; an unconverged one would raise
+        self.assert_matches_scipy((11, 12), (10**6,))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(granger, "_FRACTION_MAX_ITER", 2)
+        with pytest.raises(ArithmeticError):
+            f_sf(1.0, 3, 2000)
 
 
 class TestGCTest:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dyadgc.errors import ConfigError, ShapeError
 from dyadgc.stats import (
     PairedSample,
+    _normal_cdf,
     benjamini_hochberg,
     condition_comparison,
     wilcoxon_signed_rank,
@@ -71,6 +72,17 @@ class TestWilcoxon:
         r = wilcoxon_signed_rank(sample(d))
         ref = scipy_wilcoxon(d, mode="approx", correction=False)
         assert r.p_value == pytest.approx(ref.pvalue, rel=1e-9)
+
+    def test_normal_cdf_matches_scipy_ndtr(self):
+        from scipy.special import ndtr
+
+        zs = np.linspace(-38.0, 0.0, 20001)
+        for z, want in zip(zs, ndtr(zs)):
+            got = _normal_cdf(float(z))
+            if want > 0.0:
+                assert abs(got - want) <= 1e-12 * want, z
+            else:  # ndtr underflows to 0 below z = -37.6, in the subnormal range
+                assert got < 1e-300
 
     @given(st.integers(0, 2**31 - 1), st.floats(-5, 5))
     @settings(max_examples=25, deadline=None)
