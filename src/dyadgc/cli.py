@@ -1,10 +1,11 @@
 """Batch command-line interface.
 
 Subcommands: ``ingest`` (validate inputs), ``intervals`` (mine and emit the
-selected intervals per cell), ``granger`` (GC records, full span or interval
-selected, on mined or written intervals), ``pipeline`` (every stage, end to
-end), ``synth`` (generate a demo cohort), ``report`` (re-emit tables from a
-saved report).
+selected intervals per cell), ``granger`` (``pipeline``'s ``results.jsonl``,
+full-span and interval-selected tests per cell, on mined or written
+intervals), ``pipeline`` (every stage, end to end), ``synth`` (generate a demo
+cohort), ``report`` (re-emit the three report tables from a saved
+``report.json``). Every config flag is parsed as its config-file key is.
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -15,13 +16,13 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .config import AnalysisConfig, load_config, with_overrides
+from .config import GC_MODES, SIGNAL_MODES, AnalysisConfig, load_config, parse_value, with_overrides
 from .errors import AnalysisError, FormatError
 from .pipeline import (
     Manifest,
-    PipelineResult,
     analyze_cells,
     emit_report,
     emit_tables,
@@ -31,15 +32,13 @@ from .pipeline import (
     report_from_dict,
     run_pipeline,
     selection_path,
+    write_results,
 )
 from .synth import make_demo_cohort
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-#: the test numbers a ``granger`` record carries
-_GC_FIELDS = ("f_y_causes_x", "p_y_causes_x", "f_x_causes_y", "p_x_causes_y", "order", "n_effective")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,11 +61,11 @@ def _add_analysis_command(sub, name: str, func, help: str) -> argparse.ArgumentP
     p.add_argument("--lmin", type=int, dest="l_min", help="minimum interval length (frames)")
     p.add_argument("--kernel", type=int, dest="median_kernel", help="median filter kernel")
     p.add_argument("--extension", type=int, help="frames added to each interval side")
-    p.add_argument("--shifts", help="comma-separated shift grid, e.g. -12,-8,-4,0,4,8,12")
+    p.add_argument("--shifts", help="comma-separated shift grid, e.g. --shifts=-12,-8,-4,0,4,8,12")
     p.add_argument("--confidence", type=float, help="per-frame confidence cutoff")
-    p.add_argument("--mode", choices=("pooled", "averaged"), dest="gc_mode",
+    p.add_argument("--mode", choices=GC_MODES, dest="gc_mode",
                    help="GC aggregation over selected intervals")
-    p.add_argument("--signal-mode", choices=("expression_mean", "per_au"), dest="signal_mode")
+    p.add_argument("--signal-mode", choices=SIGNAL_MODES, dest="signal_mode")
     p.add_argument("--expressions", help="comma-separated expression names")
     p.add_argument("--m-max", type=int, dest="m_max", help="maximum VAR order")
     p.add_argument("--workers", type=int, help="parallel worker processes")
@@ -74,17 +73,12 @@ def _add_analysis_command(sub, name: str, func, help: str) -> argparse.ArgumentP
 
 
 def _build_config(args) -> AnalysisConfig:
+    """The config file (or the defaults) with every given flag on top."""
     cfg = load_config(args.config) if args.config else AnalysisConfig()
     overrides = {}
-    for key in ("alpha", "beta", "l_min", "median_kernel", "extension", "confidence",
-                "gc_mode", "signal_mode", "m_max", "workers"):
-        overrides[key] = getattr(args, key, None)
-    if getattr(args, "shifts", None):
-        overrides["shifts"] = tuple(int(s) for s in args.shifts.split(","))
-    if getattr(args, "expressions", None):
-        overrides["expressions"] = tuple(
-            e.strip() for e in args.expressions.split(",") if e.strip()
-        )
+    for f in fields(AnalysisConfig):
+        value = getattr(args, f.name, None)
+        overrides[f.name] = parse_value(f.name, value) if isinstance(value, str) else value
     return with_overrides(cfg, **overrides)
 
 
@@ -121,22 +115,7 @@ def _cmd_granger(args) -> int:
     if args.intervals_dir:
         selections = read_selections(args.intervals_dir, manifest, config)
     cells = analyze_cells(manifest, load_recordings(manifest), config, selections)
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / "results.jsonl"
-    side = "full" if args.full_span else "selected"
-    with path.open("w") as fh:
-        for c in cells:
-            gc = c.full_result if args.full_span else c.sel_result
-            outcome = c.full_outcome if args.full_span else c.sel_outcome
-            record = {
-                "pair_id": c.pair_id, "condition": c.condition, "expression": c.expression,
-                "method": side, "status": c.full_status if args.full_span else c.sel_status,
-                "outcome": None if outcome is None else outcome.value,
-            }
-            for key in _GC_FIELDS:
-                record[key] = None if gc is None else getattr(gc, key)
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    print(f"wrote {path} ({side} span, {len(cells)} cells)")
+    print(f"wrote {write_results(cells, args.out)} ({len(cells)} cells)")
     return EXIT_OK
 
 
@@ -167,17 +146,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        data = json.loads(args.results.read_text())
-        reports, occurrence = report_from_dict(data)
-        config = AnalysisConfig(
-            **{k: tuple(v) if isinstance(v, list) else v for k, v in data["config"].items()}
-        )
+        result = report_from_dict(json.loads(args.results.read_text()))
     except (ValueError, LookupError, TypeError, AttributeError, AnalysisError) as exc:
         raise FormatError(
             f"{args.results}: not a saved report.json ({type(exc).__name__}: {exc})"
         ) from exc
-    result = PipelineResult(reports, (), occurrence, config)
-    written = emit_tables(result, args.out, formats=(args.format,))
+    written = emit_tables(result, args.out)
     print(f"wrote {len(written)} files under {args.out}")
     return EXIT_OK
 
@@ -192,9 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ingest)
 
     _add_analysis_command(sub, "intervals", _cmd_intervals, "emit selected interval sets per cell")
-    p = _add_analysis_command(sub, "granger", _cmd_granger, "GC records on intervals or the full span")
-    p.add_argument("--full-span", action="store_true",
-                   help="report the full-span GC instead of the interval-selected one")
+    p = _add_analysis_command(sub, "granger", _cmd_granger, "pipeline's per-cell GC records")
     p.add_argument("--intervals-dir", type=Path,
                    help="test on the interval sets of a previous 'intervals' run, "
                         "one TSV per cell (refused with --signal-mode per_au)")
@@ -207,10 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=3000)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("report", help="re-emit tables from a saved report.json")
+    p = sub.add_parser("report", help="re-emit the report tables from a saved report.json")
     p.add_argument("--results", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_report)
     return parser
 

@@ -8,7 +8,7 @@ bare run reproduces the published procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .au_features import EXPRESSIONS_BY_NAME
@@ -67,6 +67,8 @@ class AnalysisConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "shifts", tuple(int(s) for s in self.shifts))
         object.__setattr__(self, "expressions", tuple(self.expressions))
+        if not self.expressions:
+            raise ConfigError("expressions must name at least one expression")
         unknown = [name for name in self.expressions if name not in EXPRESSIONS_BY_NAME]
         if unknown:
             raise ConfigError(f"unknown expressions {unknown}; known: {sorted(EXPRESSIONS_BY_NAME)}")
@@ -83,29 +85,24 @@ class AnalysisConfig:
         )
 
 
-_INT_KEYS = {"l_min", "median_kernel", "extension", "m_max", "workers"}
-_FLOAT_KEYS = {"beta", "confidence", "activation_factor", "alpha", "fdr_q"}
-_STR_KEYS = {"order_criterion", "gc_mode", "signal_mode"}
-_LIST_INT_KEYS = {"shifts"}
-_LIST_STR_KEYS = {"expressions"}
+_DEFAULTS = {f.name: f.default for f in fields(AnalysisConfig)}
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
+def parse_value(key: str, raw: str):
+    """``raw`` as the type of ``key``'s default in :class:`AnalysisConfig`.
+
+    A tuple default takes a comma-separated list of its element type; empty
+    items are skipped.
+    """
+    if key not in _DEFAULTS:
+        raise ConfigError(f"unknown config key {key!r}")
+    default, raw = _DEFAULTS[key], raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            return raw
-        if key in _LIST_INT_KEYS:
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if key in _LIST_STR_KEYS:
-            return tuple(v.strip() for v in raw.split(",") if v.strip())
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(v.strip()) for v in raw.split(",") if v.strip())
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def load_config(path) -> AnalysisConfig:
@@ -118,7 +115,7 @@ def load_config(path) -> AnalysisConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         key, _, val = line.partition("=")
-        values[key.strip()] = _parse_value(key.strip(), val)
+        values[key.strip()] = parse_value(key.strip(), val)
     return AnalysisConfig(**values)
 
 

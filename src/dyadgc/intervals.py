@@ -74,6 +74,8 @@ class IntervalParams:
         if self.extension < 0:
             raise ConfigError(f"extension must be >= 0, got {self.extension}")
         object.__setattr__(self, "shifts", tuple(int(s) for s in self.shifts))
+        if not self.shifts:
+            raise ConfigError("shifts must name at least one shift")
 
 
 @dataclass(frozen=True, order=True)

@@ -632,7 +632,8 @@ def report_to_dict(result: PipelineResult) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> tuple[tuple[ConditionReport, ...], tuple[ComparisonRow, ...]]:
+def report_from_dict(data: dict) -> PipelineResult:
+    """The result :func:`report_to_dict` encoded, without its per-cell records."""
     reports = tuple(
         ConditionReport(
             entry["condition"],
@@ -648,77 +649,73 @@ def report_from_dict(data: dict) -> tuple[tuple[ConditionReport, ...], tuple[Com
         for entry in data["conditions"]
     )
     occurrence = tuple(ComparisonRow(**r) for r in data["occurrence"])
-    return reports, occurrence
+    config = AnalysisConfig(
+        **{k: tuple(v) if isinstance(v, list) else v for k, v in data["config"].items()}
+    )
+    return PipelineResult(reports, (), occurrence, config)
 
 
-def emit_tables(result: PipelineResult, out_dir, formats=("csv", "json")) -> list[Path]:
-    """Write the report tables; returns the paths written.
+def emit_tables(result: PipelineResult, out_dir) -> list[Path]:
+    """Write ``report.json``, ``report.csv`` and ``occurrence.csv``; returns their paths.
 
-    ``report.json`` round-trips the full report; ``report.csv`` mirrors the
-    per-condition tables with a dominant-direction flag per method;
-    ``occurrence.csv`` is the Wilcoxon/BH table. Per-cell files are left
-    alone, so a saved report can be re-emitted into its own run directory.
+    ``report.json`` round-trips the report and its config; ``report.csv``
+    mirrors the per-condition tables with a dominant-direction flag per
+    method; ``occurrence.csv`` is the Wilcoxon/BH table. Per-cell files are
+    left alone, so a saved report can be re-emitted into its own run directory.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    written = [out_dir / name for name in ("report.json", "report.csv", "occurrence.csv")]
+    json_path, csv_path, occ_path = written
+    json_path.write_text(json.dumps(report_to_dict(result), indent=2, sort_keys=True) + "\n")
 
-    if "json" in formats:
-        path = out_dir / "report.json"
-        path.write_text(json.dumps(report_to_dict(result), indent=2, sort_keys=True) + "\n")
-        written.append(path)
-
-    if "csv" in formats:
-        path = out_dir / "report.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["condition", "expression"]
-            for method in ("full_span", "interval_selected"):
-                header += [f"{method}_{k}" for k in OUTCOME_KEYS] + [f"{method}_dominant"]
-            writer.writerow(header)
-            for rep in result.reports:
-                for row in rep.rows:
-                    record = [rep.condition, row.expression]
-                    for counts in (row.full_span, row.interval_selected):
-                        record += [getattr(counts, k) for k in OUTCOME_KEYS]
-                        record.append(counts.dominant())
-                    writer.writerow(record)
-                avg = rep.averages()
-                record = [rep.condition, "average"]
-                for method in ("full_span", "interval_selected"):
-                    vals = avg[method]
-                    record += [repr(vals[k]) for k in OUTCOME_KEYS]
-                    record.append(_dominant(vals["s_gc_r"], vals["r_gc_s"]))
+    with csv_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["condition", "expression"]
+        for method in ("full_span", "interval_selected"):
+            header += [f"{method}_{k}" for k in OUTCOME_KEYS] + [f"{method}_dominant"]
+        writer.writerow(header)
+        for rep in result.reports:
+            for row in rep.rows:
+                record = [rep.condition, row.expression]
+                for counts in (row.full_span, row.interval_selected):
+                    record += [getattr(counts, k) for k in OUTCOME_KEYS]
+                    record.append(counts.dominant())
                 writer.writerow(record)
-        written.append(path)
+            avg = rep.averages()
+            record = [rep.condition, "average"]
+            for method in ("full_span", "interval_selected"):
+                vals = avg[method]
+                record += [repr(vals[k]) for k in OUTCOME_KEYS]
+                record.append(_dominant(vals["s_gc_r"], vals["r_gc_s"]))
+            writer.writerow(record)
 
-        occ = out_dir / "occurrence.csv"
-        with occ.open("w", newline="") as fh:
-            writer = csv.writer(fh)
+    with occ_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["expression", "condition_a", "condition_b", "p_value", "w_statistic",
+             "significant_after_bh"]
+        )
+        for row in result.occurrence:
             writer.writerow(
-                ["expression", "condition_a", "condition_b", "p_value", "w_statistic",
-                 "significant_after_bh"]
+                [row.expression, row.condition_a, row.condition_b,
+                 repr(row.p_value), repr(row.w_statistic), row.significant_after_bh]
             )
-            for row in result.occurrence:
-                writer.writerow(
-                    [row.expression, row.condition_a, row.condition_b,
-                     repr(row.p_value), repr(row.w_statistic), row.significant_after_bh]
-                )
-        written.append(occ)
     return written
 
 
-def emit_report(result: PipelineResult, out_dir) -> list[Path]:
-    """Write the report tables and the per-cell files; returns the paths written.
+def write_results(cells, out_dir) -> Path:
+    """Write ``results.jsonl``, one record per cell with both its tests; returns its path.
 
-    Besides :func:`emit_tables`' files, ``results.jsonl`` carries one record
-    per analyzed cell and ``intervals/`` holds the selected interval sets.
+    Each record carries the full-span and the interval-selected test side by
+    side (``full_status``/``full_result``, ``sel_status``/``sel_result``) and
+    the cell's selected intervals.
     """
     out_dir = Path(out_dir)
-    written = emit_tables(result, out_dir)
-    results_path = out_dir / "results.jsonl"
-    with results_path.open("w") as fh:
-        for c in result.cells:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "results.jsonl"
+    with path.open("w") as fh:
+        for c in cells:
             record = {
                 "pair_id": c.pair_id, "condition": c.condition, "expression": c.expression,
                 "full_status": c.full_status, "sel_status": c.sel_status,
@@ -729,7 +726,18 @@ def emit_report(result: PipelineResult, out_dir) -> list[Path]:
                 "note": c.note,
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    written.append(results_path)
+    return path
+
+
+def emit_report(result: PipelineResult, out_dir) -> list[Path]:
+    """Write the report tables and the per-cell files; returns the paths written.
+
+    Besides :func:`emit_tables`' files, it writes :func:`write_results`'
+    ``results.jsonl`` and, in ``intervals/``, each cell's selected intervals.
+    """
+    out_dir = Path(out_dir)
+    written = emit_tables(result, out_dir)
+    written.append(write_results(result.cells, out_dir))
 
     ivdir = out_dir / "intervals"
     ivdir.mkdir(exist_ok=True)

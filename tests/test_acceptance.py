@@ -23,16 +23,10 @@ from dyadgc.intervals import (
     segment_series,
 )
 from dyadgc.stats import PairedSample, benjamini_hochberg, wilcoxon_signed_rank
-from dyadgc.synth import (
-    CouplingSpec,
-    active_everywhere,
-    gen_coupled_pair,
-    gen_masked_transient_pair,
-    gen_window_pair,
-    make_demo_cohort,
-)
+from dyadgc.synth import CouplingSpec, gen_coupled_pair
 from dyadgc.timeseries import TimeSeries, standardize
 
+from generators import active_everywhere, gen_masked_transient_pair, gen_window_pair
 from oracles import oracle_longest_set, oracle_maximal_intervals, oracle_wilcoxon_p
 
 DATA = Path(__file__).parent / "data"

@@ -16,9 +16,9 @@ from dyadgc.intervals import (
     postprocess,
     segment_series,
 )
-from dyadgc.synth import gen_window_pair
 from dyadgc.timeseries import TimeSeries, runs
 
+from generators import gen_window_pair
 from oracles import (
     oracle_level_walk,
     oracle_longest_set,

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dyadgc import pipeline
+from dyadgc import cli, pipeline
 from dyadgc.au_features import AU_IDS, AU_ROW, EXPRESSIONS, AURecording, parse_au_csv, write_au_csv
 from dyadgc.cli import main
 from dyadgc.config import AnalysisConfig, load_config, with_overrides
@@ -102,6 +103,55 @@ class TestConfig:
         argv = ["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
         assert main(argv + ["--expressions", "nonsense"]) == 2
         assert "unknown expressions ['nonsense']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def _cli_config(argv):
+        return cli._build_config(cli.build_parser().parse_args(
+            ["pipeline", "--manifest", "m.csv", "--out", "o"] + argv
+        ))
+
+    def test_every_flag_parses_as_its_config_key(self, tmp_path):
+        flags = {
+            "--alpha": ("alpha", "0.01"), "--beta": ("beta", "0.7"), "--lmin": ("l_min", "60"),
+            "--kernel": ("median_kernel", "31"), "--extension": ("extension", "8"),
+            "--shifts": ("shifts", " -4, 0,4"), "--confidence": ("confidence", "0.8"),
+            "--mode": ("gc_mode", "averaged"), "--signal-mode": ("signal_mode", "per_au"),
+            "--expressions": ("expressions", "happiness_lower, sadness_upper"),
+            "--m-max": ("m_max", "6"), "--workers": ("workers", "2"),
+        }
+        path = tmp_path / "cfg.txt"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in flags.values()))
+        argv = [item for flag, (_, value) in flags.items() for item in (flag, value)]
+        cfg = self._cli_config(argv)
+        assert cfg == load_config(path)
+        default = AnalysisConfig()
+        assert all(getattr(cfg, key) != getattr(default, key) for key, _ in flags.values())
+
+    def test_empty_list_items_are_skipped_by_both_sources(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("shifts = 0,,4\n")
+        assert self._cli_config(["--shifts", "0,,4"]) == load_config(path)
+        assert load_config(path).shifts == (0, 4)
+
+    def test_bad_list_item_is_a_config_error(self, tmp_path, capsys):
+        manifest = _manifest_of_missing_files(tmp_path)
+        argv = ["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--shifts", "1,x"]) == 2
+        assert "bad value for 'shifts'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["shifts", "expressions"])
+    def test_empty_list_is_refused(self, tmp_path, capsys, key):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key} =\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        manifest = _manifest_of_missing_files(tmp_path)
+        argv = ["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
+        for source in (["--config", str(path)], [f"--{key}", ""]):
+            assert main(argv + source) == 2
+            assert f"{key} must name at least one" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 
@@ -426,9 +476,8 @@ class TestEmitReport:
     def test_json_round_trip(self, result, tmp_path):
         emit_report(result, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
-        reports, occurrence = report_from_dict(data)
-        assert reports == result.reports
-        assert occurrence == result.occurrence
+        # everything but the per-cell records, config included
+        assert report_from_dict(data) == replace(result, cells=())
 
     def test_reemission_is_byte_identical(self, result, tmp_path):
         emit_report(result, tmp_path / "a")
@@ -606,46 +655,28 @@ class TestCLI:
         before = contents()
         assert (run_dir / "results.jsonl").stat().st_size > 0
         assert list((run_dir / "intervals").glob("*.tsv"))
-        for fmt in ("csv", "json"):
-            assert main([
-                "report", "--results", str(run_dir / "report.json"), "--out", str(run_dir),
-                "--format", fmt,
-            ]) == 0
+        assert main([
+            "report", "--results", str(run_dir / "report.json"), "--out", str(run_dir),
+        ]) == 0
+        # the three tables are rewritten byte for byte; the per-cell files are untouched
         assert contents() == before
 
     def test_intervals_and_granger_subcommands(self, cohort, tmp_path):
-        ivdir = tmp_path / "iv"
-        assert main([
-            "intervals", "--manifest", str(cohort), "--out", str(ivdir),
-            "--expressions", "happiness_lower",
-        ]) == 0
-        assert list(ivdir.glob("*.tsv"))
-
-        gdir = tmp_path / "gc"
-        assert main([
-            "granger", "--manifest", str(cohort), "--out", str(gdir),
-            "--expressions", "happiness_lower",
-        ]) == 0
-        selected = [json.loads(l) for l in (gdir / "results.jsonl").read_text().splitlines()]
-        assert all(r["method"] == "selected" for r in selected)
-
-        gdir2 = tmp_path / "gc_full"
-        assert main([
-            "granger", "--manifest", str(cohort), "--out", str(gdir2), "--full-span",
-            "--expressions", "happiness_lower",
-        ]) == 0
-        full = [json.loads(l) for l in (gdir2 / "results.jsonl").read_text().splitlines()]
-        assert all(r["method"] == "full" for r in full)
-        assert len(full) == len(selected)
-
-        # the written intervals give the same selected-side records
-        gdir3 = tmp_path / "gc_pre"
-        assert main([
-            "granger", "--manifest", str(cohort), "--out", str(gdir3),
-            "--intervals-dir", str(ivdir), "--expressions", "happiness_lower",
-        ]) == 0
-        again = [json.loads(l) for l in (gdir3 / "results.jsonl").read_text().splitlines()]
-        assert [r["outcome"] for r in again] == [r["outcome"] for r in selected]
+        # granger writes pipeline's results.jsonl: on mined intervals, and on
+        # the intervals pipeline wrote (per_au takes no written selection)
+        for name, config in (("default", {}), ("wide", WIDE)):
+            flags = ["--manifest", str(cohort)]
+            if config:
+                flags += ["--expressions", ",".join(config["expressions"]),
+                          "--signal-mode", config["signal_mode"], "--mode", config["gc_mode"]]
+            run = tmp_path / name / "run"
+            assert main(["pipeline", "--out", str(run)] + flags) == 0
+            want = (run / "results.jsonl").read_bytes()
+            extras = [[]] if config else [[], ["--intervals-dir", str(run / "intervals")]]
+            for i, extra in enumerate(extras):
+                gc = tmp_path / name / f"gc{i}"
+                assert main(["granger", "--out", str(gc)] + flags + extra) == 0
+                assert (gc / "results.jsonl").read_bytes() == want
 
     def test_alpha_one_rejects_everywhere(self, cohort, tmp_path):
         out = tmp_path / "alpha1"

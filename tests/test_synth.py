@@ -11,16 +11,10 @@ from dyadgc.au_features import (
 )
 from dyadgc.errors import ConfigError
 from dyadgc.intervals import Interval, IntervalSet
-from dyadgc.synth import (
-    CouplingSpec,
-    active_everywhere,
-    gen_au_fixture,
-    gen_coupled_pair,
-    gen_masked_transient_pair,
-    gen_window_pair,
-    make_demo_cohort,
-)
+from dyadgc.synth import CouplingSpec, gen_au_fixture, gen_coupled_pair, make_demo_cohort
 from dyadgc.timeseries import runs
+
+from generators import active_everywhere, gen_masked_transient_pair, gen_window_pair
 
 
 def lagged_corr(x, y, lag):
