@@ -8,6 +8,7 @@ bare run reproduces the published procedure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -61,6 +62,12 @@ class AnalysisConfig:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ConfigError(f"confidence must be in [0, 1], got {self.confidence}")
+        if not 0.0 <= self.activation_factor < math.inf:
+            raise ConfigError(
+                f"activation_factor must be finite and >= 0, got {self.activation_factor}"
+            )
+        if not 0.0 < self.fdr_q <= 1.0:
+            raise ConfigError(f"fdr_q must be in (0, 1], got {self.fdr_q}")
         if self.m_max < 1:
             raise ConfigError(f"m_max must be >= 1, got {self.m_max}")
         if self.workers < 1:

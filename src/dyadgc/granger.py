@@ -75,49 +75,38 @@ class GCTestResult:
     outcome: Direction
 
 
-@dataclass(frozen=True)
-class Design:
-    """Lagged regression rows, stacked segment by segment."""
+def build_design(x_segments, y_segments, order: int) -> np.ndarray:
+    """Regression rows for every target whose full lag window fits in one segment.
 
-    x_targets: np.ndarray
-    y_targets: np.ndarray
-    x_lags: np.ndarray  # column j holds the series at lag j+1
-    y_lags: np.ndarray
-
-
-def _as_segments(segments) -> list[np.ndarray]:
-    out = []
-    for seg in segments:
-        arr = np.asarray(seg, dtype=float)
-        if arr.ndim != 1:
-            raise ShapeError("segments must be one-dimensional")
-        out.append(arr)
-    return out
-
-
-def build_design(x_segments, y_segments, order: int) -> Design:
-    """Build regression rows for every target whose full lag window fits in one segment."""
+    Returns one C-ordered (T, 2M + 2) array, M = ``order``, with the columns
+    ``[x_1, y_1, ..., x_M, y_M, x_t, y_t]``: lag j of each signal, then the
+    two targets. Rows are stacked segment by segment; a segment of length
+    n <= M yields none.
+    """
     if order < 1:
         raise ConfigError(f"model order must be >= 1, got {order}")
-    xs_list = _as_segments(x_segments)
-    ys_list = _as_segments(y_segments)
+    xs_list = [np.asarray(seg, dtype=float) for seg in x_segments]
+    ys_list = [np.asarray(seg, dtype=float) for seg in y_segments]
     if len(xs_list) != len(ys_list):
         raise ShapeError("x and y segment lists differ in length")
-    xt, yt, lx, ly = [], [], [], []
     for k, (xs, ys) in enumerate(zip(xs_list, ys_list)):
+        if xs.ndim != 1 or ys.ndim != 1:
+            raise ShapeError("segments must be one-dimensional")
         if len(xs) != len(ys):
             raise ShapeError(f"segment {k}: x and y lengths differ")
-        n = len(xs)
-        if n <= order:
-            continue  # segment too short to yield a single row
-        idx = np.arange(order, n)
-        xt.append(xs[idx])
-        yt.append(ys[idx])
-        lx.append(np.column_stack([xs[idx - j] for j in range(1, order + 1)]))
-        ly.append(np.column_stack([ys[idx - j] for j in range(1, order + 1)]))
-    if not xt:
+    t_eff = sum(max(len(xs) - order, 0) for xs in xs_list)
+    if t_eff == 0:
         raise InsufficientData(f"no segment exceeds the model order {order}")
-    return Design(np.concatenate(xt), np.concatenate(yt), np.vstack(lx), np.vstack(ly))
+    design = np.empty((t_eff, 2 * order + 2))
+    lags = np.append(np.arange(1, order + 1), 0)  # lag of columns 0, 2, ... (x) and 1, 3, ... (y)
+    row = 0
+    for xs, ys in zip(xs_list, ys_list):
+        if len(xs) > order:
+            idx = np.arange(order, len(xs))[:, None] - lags
+            design[row : row + len(idx), 0::2] = xs[idx]
+            design[row : row + len(idx), 1::2] = ys[idx]
+            row += len(idx)
+    return design
 
 
 def _ols(design: np.ndarray, targets: np.ndarray) -> tuple[float, int]:
@@ -134,19 +123,22 @@ def fit_var(x_segments, y_segments, order: int) -> VarModel:
     system (fewer rows than coefficients) falls back to the minimum-norm
     least-squares solution, which interpolates exactly.
     """
-    d = build_design(x_segments, y_segments, order)
-    t_eff = len(d.x_targets)
-    if t_eff >= 2 and (np.ptp(d.x_targets) == 0.0 or np.ptp(d.y_targets) == 0.0):
+    design = build_design(x_segments, y_segments, order)
+    t_eff = len(design)
+    # contiguous copies: lstsq and the residual product round differently on strided views
+    x_lags, y_lags = design[:, 0:-2:2].copy(), design[:, 1:-2:2].copy()
+    x_t, y_t = design[:, -2].copy(), design[:, -1].copy()
+    if t_eff >= 2 and (np.ptp(x_t) == 0.0 or np.ptp(y_t) == 0.0):
         raise SingularDesign("constant segment: no variation to regress on")
-    enriched = np.column_stack([d.x_lags, d.y_lags])
-    rss_e_x, rank_x = _ols(enriched, d.x_targets)
-    rss_e_y, rank_y = _ols(enriched, d.y_targets)
+    enriched = np.hstack([x_lags, y_lags])
+    rss_e_x, rank_x = _ols(enriched, x_t)
+    rss_e_y, rank_y = _ols(enriched, y_t)
     if t_eff >= 2 * order and min(rank_x, rank_y) < 2 * order:
         raise SingularDesign(
             f"rank-deficient design: rank {min(rank_x, rank_y)} < {2 * order}"
         )
-    rss_r_x, _ = _ols(d.x_lags, d.x_targets)
-    rss_r_y, _ = _ols(d.y_lags, d.y_targets)
+    rss_r_x, _ = _ols(x_lags, x_t)
+    rss_r_y, _ = _ols(y_lags, y_t)
     # Nested least squares guarantees rss_restricted >= rss_enriched; clamp
     # the tiny floating-point violations.
     rss_r_x = max(rss_r_x, rss_e_x)
@@ -183,31 +175,24 @@ def select_order(x_segments, y_segments, m_max: int, criterion: str = "bic") -> 
     available at ``m_max``) so the criteria are comparable; ties go to the
     smaller order.
 
-    One factorization scores every order. The columns
-    ``[x_1, y_1, ..., x_M, y_M, x_t, y_t]`` (lag j of each signal, M =
-    ``m_max``, then the two targets) are reduced to R by a single QR. The
-    order-m model regresses on the first 2m columns, so the residual
-    cross-products of the two targets are sums over rows 2m, 2m + 1, ...
-    (counting from 0) of R's last two columns; nothing is subtracted from
-    the targets' norms. The residual covariance determinant is clamped at
-    1e-300.
+    One factorization scores every order: the design of
+    :func:`build_design` at M = ``m_max``, ``[x_1, y_1, ..., x_M, y_M, x_t,
+    y_t]``, is reduced to R by a single QR. The order-m model regresses on
+    the first 2m columns, so the residual cross-products of the two targets
+    are sums over rows 2m, 2m + 1, ... (counting from 0) of R's last two
+    columns; nothing is subtracted from the targets' norms. The residual
+    covariance determinant is clamped at 1e-300.
     """
     if criterion not in ("aic", "bic"):
         raise ConfigError(f"criterion must be 'aic' or 'bic', got {criterion!r}")
     if m_max < 1:
         raise ConfigError(f"m_max must be >= 1, got {m_max}")
-    d = build_design(x_segments, y_segments, m_max)
-    t_eff = len(d.x_targets)
+    a = build_design(x_segments, y_segments, m_max)
+    t_eff = len(a)
     if t_eff <= 2 * m_max + 1:
         raise InsufficientData(
             f"{t_eff} effective samples cannot support m_max={m_max}"
         )
-    a = np.empty((t_eff, 2 * m_max + 2))
-    a[:, 0:-2:2] = d.x_lags
-    a[:, 1:-2:2] = d.y_lags
-    a[:, -2] = d.x_targets
-    a[:, -1] = d.y_targets
-    del d  # qr copies a: freeing the design first keeps the peak memory down
     r = np.linalg.qr(a, mode="r")
     rx, ry = r[:, -2], r[:, -1]
     # tail[k] = sum over rows k.. of R; t_eff > 2 * m_max + 1 makes R square
@@ -352,12 +337,12 @@ def classify(p_y_causes_x: float, p_x_causes_y: float, alpha: float) -> Directio
     return Direction.NONE
 
 
-def gc_test(x_segments, y_segments, order: int, alpha: float = 0.05) -> GCTestResult:
-    """Run both directional Granger tests over the given aligned segments."""
-    model = fit_var(x_segments, y_segments, order)
-    t_eff = model.n_effective
-    f_yx = f_statistic(model.resid_var_restricted_x, model.resid_var_enriched_x, t_eff, order)
-    f_xy = f_statistic(model.resid_var_restricted_y, model.resid_var_enriched_y, t_eff, order)
+def _result(f_yx: float, f_xy: float, order: int, t_eff: int, alpha: float) -> GCTestResult:
+    """Both F statistics referred to F(order, t_eff - 2 order - 1), and the outcome."""
+    if t_eff <= 2 * order + 1:
+        raise InsufficientData(
+            f"need T > 2M + 1 for the F test, got T={t_eff}, M={order}"
+        )
     d2 = t_eff - 2 * order - 1
     p_yx = f_sf(f_yx, order, d2)
     p_xy = f_sf(f_xy, order, d2)
@@ -371,6 +356,15 @@ def gc_test(x_segments, y_segments, order: int, alpha: float = 0.05) -> GCTestRe
         n_effective=t_eff,
         outcome=classify(p_yx, p_xy, alpha),
     )
+
+
+def gc_test(x_segments, y_segments, order: int, alpha: float = 0.05) -> GCTestResult:
+    """Run both directional Granger tests over the given aligned segments."""
+    model = fit_var(x_segments, y_segments, order)
+    t_eff = model.n_effective
+    f_yx = f_statistic(model.resid_var_restricted_x, model.resid_var_enriched_x, t_eff, order)
+    f_xy = f_statistic(model.resid_var_restricted_y, model.resid_var_enriched_y, t_eff, order)
+    return _result(f_yx, f_xy, order, t_eff, alpha)
 
 
 def average_gc(per_interval_results, weights) -> GCTestResult:
@@ -397,19 +391,4 @@ def average_gc(per_interval_results, weights) -> GCTestResult:
     wsum = sum(weights)
     f_yx = sum(w * r.f_y_causes_x for w, r in zip(weights, results)) / wsum
     f_xy = sum(w * r.f_x_causes_y for w, r in zip(weights, results)) / wsum
-    t_pool = sum(r.n_effective for r in results)
-    if t_pool <= 2 * order + 1:
-        raise InsufficientData("pooled effective samples too small for the F test")
-    d2 = t_pool - 2 * order - 1
-    p_yx = f_sf(f_yx, order, d2)
-    p_xy = f_sf(f_xy, order, d2)
-    return GCTestResult(
-        f_y_causes_x=f_yx,
-        p_y_causes_x=p_yx,
-        f_x_causes_y=f_xy,
-        p_x_causes_y=p_xy,
-        alpha=alpha,
-        order=order,
-        n_effective=t_pool,
-        outcome=classify(p_yx, p_xy, alpha),
-    )
+    return _result(f_yx, f_xy, order, sum(r.n_effective for r in results), alpha)

@@ -127,10 +127,15 @@ class Manifest:
         rows = []
         with path.open(newline="") as fh:
             reader = csv.DictReader(fh)
-            required = {"pair_id", "role", "condition", "path"}
-            if reader.fieldnames is None or not required <= set(reader.fieldnames):
+            required = ("pair_id", "role", "condition", "path")
+            if reader.fieldnames is None or not set(required) <= set(reader.fieldnames):
                 raise FormatError(f"{path}: manifest needs columns {sorted(required)}")
             for rec in reader:
+                blank = [k for k in required if not (rec[k] or "").strip()]
+                if blank:
+                    raise FormatError(
+                        f"{path}: row {reader.line_num}: missing or blank {', '.join(blank)}"
+                    )
                 csv_path = Path(rec["path"])
                 if not csv_path.is_absolute():
                     csv_path = path.parent / csv_path
@@ -450,15 +455,19 @@ def analyze_pair_condition(
 
 
 def load_recordings(manifest: Manifest) -> dict[tuple[str, str, str], AURecording]:
-    """Every recording the manifest lists, keyed by (pair_id, role, condition)."""
+    """Every recording the manifest lists, keyed by (pair_id, role, condition).
+
+    A recording with no frames raises :class:`FormatError` naming its file.
+    """
     if not manifest.rows:
         log.warning("empty manifest: nothing to analyze")
-    return {
-        (row.pair_id, row.role, row.condition): parse_au_csv(
-            row.path, f"{row.pair_id}-{row.role}", row.condition, row.role
-        )
-        for row in manifest.rows
-    }
+    recordings = {}
+    for row in manifest.rows:
+        rec = parse_au_csv(row.path, f"{row.pair_id}-{row.role}", row.condition, row.role)
+        if rec.n_frames == 0:
+            raise FormatError(f"{row.path}: no frames")
+        recordings[(row.pair_id, row.role, row.condition)] = rec
+    return recordings
 
 
 def _per_pair(task, manifest, recordings, config, selections=None) -> list:

@@ -222,18 +222,19 @@ def oracle_select_order(x_segments, y_segments, m_max: int, criterion: str = "bi
     if m_max < 1:
         raise ConfigError(f"m_max must be >= 1, got {m_max}")
     d = build_design(x_segments, y_segments, m_max)
-    t_eff = len(d.x_targets)
+    t_eff = len(d)
     if t_eff <= 2 * m_max + 1:
         raise InsufficientData(
             f"{t_eff} effective samples cannot support m_max={m_max}"
         )
+    x_lags, y_lags, x_t, y_t = d[:, 0:-2:2], d[:, 1:-2:2], d[:, -2], d[:, -1]
     best_m, best_ic = 1, np.inf
     for m in range(1, m_max + 1):
-        design = np.column_stack([d.x_lags[:, :m], d.y_lags[:, :m]])
-        coef_x, _, _, _ = np.linalg.lstsq(design, d.x_targets, rcond=None)
-        coef_y, _, _, _ = np.linalg.lstsq(design, d.y_targets, rcond=None)
-        ex = d.x_targets - design @ coef_x
-        ey = d.y_targets - design @ coef_y
+        design = np.column_stack([x_lags[:, :m], y_lags[:, :m]])
+        coef_x, _, _, _ = np.linalg.lstsq(design, x_t, rcond=None)
+        coef_y, _, _, _ = np.linalg.lstsq(design, y_t, rcond=None)
+        ex = x_t - design @ coef_x
+        ey = y_t - design @ coef_y
         sxx = ex @ ex / t_eff
         syy = ey @ ey / t_eff
         sxy = ex @ ey / t_eff

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import signal as spsig
@@ -6,7 +8,7 @@ from scipy import stats as sps
 
 from dyadgc import granger, pipeline
 from dyadgc.config import AnalysisConfig
-from dyadgc.errors import ConfigError, EmptyInput, InsufficientData, SingularDesign
+from dyadgc.errors import ConfigError, EmptyInput, InsufficientData, ShapeError, SingularDesign
 from dyadgc.granger import (
     Direction,
     average_gc,
@@ -57,10 +59,13 @@ class TestBuildDesign:
         want = [
             (seg[t], [seg[t - j] for j in (1, 2, 3, 4)]) for seg in segs for t in range(4, len(seg))
         ]
-        assert len(d.x_targets) == len(want) == (30 - 4) + (12 - 4) + (50 - 4)
-        np.testing.assert_array_equal(d.x_targets, [target for target, _ in want])
-        np.testing.assert_array_equal(d.x_lags, [lags for _, lags in want])
-        np.testing.assert_array_equal(d.y_lags, d.x_lags + 1)
+        assert d.shape == (len(want), 2 * 4 + 2)
+        assert len(want) == (30 - 4) + (12 - 4) + (50 - 4)
+        assert d.flags.c_contiguous
+        # columns [x_1, y_1, ..., x_4, y_4, x_t, y_t]
+        np.testing.assert_array_equal(d[:, -2], [target for target, _ in want])
+        np.testing.assert_array_equal(d[:, 0:-2:2], [lags for _, lags in want])
+        np.testing.assert_array_equal(d[:, 1::2], d[:, 0::2] + 1)
 
     def test_splitting_matches_per_segment_rows(self):
         rng = np.random.default_rng(1)
@@ -69,11 +74,23 @@ class TestBuildDesign:
         whole = build_design([x], [y], 3)
         split = build_design([x[:60], x[60:]], [y[:60], y[60:]], 3)
         # the split loses exactly `order` rows at the boundary
-        assert len(split.x_targets) == len(whole.x_targets) - 3
+        assert len(split) == len(whole) - 3
 
     def test_short_segments_skipped(self):
         with pytest.raises(InsufficientData):
             build_design([np.zeros(3)], [np.zeros(3)], order=5)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([np.zeros(10)], [np.zeros(10), np.zeros(10)]),  # segment counts differ
+            ([np.zeros(10)], [np.zeros(9)]),  # segment lengths differ
+            ([np.zeros((2, 10))], [np.zeros((2, 10))]),  # not one-dimensional
+        ],
+    )
+    def test_misaligned_segments_rejected(self, xs, ys):
+        with pytest.raises(ShapeError):
+            build_design(xs, ys, order=2)
 
 
 class TestFitVar:
@@ -416,6 +433,14 @@ class TestAverageGC:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             average_gc([], [])
+
+    def test_pooled_samples_must_exceed_2m_plus_1(self):
+        x, y = coupled_pair(9, n=600)
+        r = gc_test([x], [y], 2)
+        few = dataclasses.replace(r, n_effective=2)  # 2 + 2 = 2M + 1 pooled rows
+        with pytest.raises(InsufficientData):
+            average_gc([few, few], [1, 1])
+        assert average_gc([few, dataclasses.replace(r, n_effective=4)], [1, 1]).n_effective == 6
 
     def test_mixed_orders_rejected(self):
         x, y = coupled_pair(8, n=600)

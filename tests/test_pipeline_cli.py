@@ -88,6 +88,12 @@ class TestConfig:
             AnalysisConfig(gc_mode="bogus")
         with pytest.raises(ConfigError):
             AnalysisConfig(median_kernel=10)
+        for bad in (float("nan"), float("inf"), -0.5):
+            with pytest.raises(ConfigError, match="activation_factor"):
+                AnalysisConfig(activation_factor=bad)
+        for bad in (0.0, 1.5, float("nan")):
+            with pytest.raises(ConfigError, match="fdr_q"):
+                AnalysisConfig(fdr_q=bad)
 
     def test_unknown_expression_rejected_when_built(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="nonsense"):
@@ -181,6 +187,30 @@ class TestManifest:
         p.write_text("pair,role\n")
         with pytest.raises(FormatError):
             Manifest.load(p)
+
+    def test_short_row_names_the_row(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(
+            "pair_id,role,condition,path\n"
+            "a,sender,contempt,x.csv\na,receiver,contempt\n"
+        )
+        with pytest.raises(FormatError, match=r"m\.csv: row 3: missing or blank path"):
+            Manifest.load(p)
+
+    def test_blank_pair_id_names_the_row(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(
+            "pair_id,role,condition,path\n"
+            " ,sender,contempt,x.csv\n ,receiver,contempt,y.csv\n"
+        )
+        with pytest.raises(FormatError, match=r"m\.csv: row 2: missing or blank pair_id"):
+            Manifest.load(p)
+
+    def test_short_row_is_a_data_error(self, tmp_path, capsys):
+        p = tmp_path / "m.csv"
+        p.write_text("pair_id,role,condition,path\na,sender\n")
+        assert main(["ingest", "--manifest", str(p)]) == 2
+        assert "row 2: missing or blank condition, path" in capsys.readouterr().err
 
 
 class TestRunPipeline:
@@ -578,6 +608,21 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "manifest valid" not in captured.out
         assert f"error: {bad}: not UTF-8 text" in captured.err
+
+    @pytest.mark.parametrize("command", ["ingest", "intervals", "granger", "pipeline"])
+    def test_recording_without_frames_is_a_data_error(self, tmp_path, capsys, command):
+        manifest = make_demo_cohort(tmp_path / "c", n_pairs=1, length=600, seed=5)
+        empty = tmp_path / "c" / "pair01_contempt_receiver.csv"
+        empty.write_text(empty.read_text().splitlines()[0] + "\n")
+        assert parse_au_csv(empty).n_frames == 0
+        args = [command, "--manifest", str(manifest)]
+        if command != "ingest":
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "manifest valid" not in captured.out
+        assert f"error: {empty}: no frames" in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_frame_gap_is_reported_and_counted_over_present_frames(
         self, tmp_path, capsys, monkeypatch
