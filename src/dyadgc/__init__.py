@@ -36,12 +36,10 @@ from .errors import (
 from .granger import (
     Direction,
     GCTestResult,
-    VarModel,
     average_gc,
     cap_order,
     f_sf,
     f_statistic,
-    fit_var,
     gc_test,
     select_order,
 )
@@ -64,7 +62,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .stats import (
-    PairedSample,
     WilcoxonResult,
     benjamini_hochberg,
     condition_comparison,

@@ -186,7 +186,8 @@ def parse_au_csv(
     ``confidence``, and ``AUxx_r`` for each of the 17 regression AUs. Extra
     columns are ignored. A value that does not parse, is NaN or infinite, or
     a frame outside int64 raises :class:`FormatError` naming the CSV row; a
-    file that is not UTF-8 raises it naming the file.
+    file that is not UTF-8 raises it naming the file. A leading byte-order
+    mark is skipped.
 
     numpy's C reader parses the numbers. A file it refuses (a quoted cell, a
     whitespace-only or all-comma row, a spelling only ``float()`` accepts
@@ -196,10 +197,10 @@ def parse_au_csv(
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             table = _load_table(fh, str(path))
             if table is None:
-                fh.seek(0)
+                fh.seek(0)  # resets the decoder, which skips the byte-order mark again
                 return _parse_au_stream(fh, str(path), participant_id, condition, role)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc

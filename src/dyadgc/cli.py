@@ -19,7 +19,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .config import GC_MODES, SIGNAL_MODES, AnalysisConfig, load_config, parse_value, with_overrides
+from .config import AnalysisConfig, load_config, parse_value, with_overrides
 from .errors import AnalysisError, FormatError
 from .pipeline import (
     Manifest,
@@ -56,19 +56,19 @@ def _add_analysis_command(sub, name: str, func, help: str) -> argparse.ArgumentP
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--config", type=Path, help="flat key = value config file")
-    p.add_argument("--alpha", type=float, help="significance level for the GC tests")
-    p.add_argument("--beta", type=float, help="correlation threshold for interval mining")
-    p.add_argument("--lmin", type=int, dest="l_min", help="minimum interval length (frames)")
-    p.add_argument("--kernel", type=int, dest="median_kernel", help="median filter kernel")
-    p.add_argument("--extension", type=int, help="frames added to each interval side")
+    p.add_argument("--alpha", help="significance level for the GC tests")
+    p.add_argument("--beta", help="correlation threshold for interval mining")
+    p.add_argument("--lmin", dest="l_min", help="minimum interval length (frames)")
+    p.add_argument("--kernel", dest="median_kernel", help="median filter kernel")
+    p.add_argument("--extension", help="frames added to each interval side")
     p.add_argument("--shifts", help="comma-separated shift grid, e.g. --shifts=-12,-8,-4,0,4,8,12")
-    p.add_argument("--confidence", type=float, help="per-frame confidence cutoff")
-    p.add_argument("--mode", choices=GC_MODES, dest="gc_mode",
-                   help="GC aggregation over selected intervals")
-    p.add_argument("--signal-mode", choices=SIGNAL_MODES, dest="signal_mode")
+    p.add_argument("--confidence", help="per-frame confidence cutoff")
+    p.add_argument("--mode", dest="gc_mode",
+                   help="GC aggregation over selected intervals: pooled or averaged")
+    p.add_argument("--signal-mode", dest="signal_mode", help="expression_mean or per_au")
     p.add_argument("--expressions", help="comma-separated expression names")
-    p.add_argument("--m-max", type=int, dest="m_max", help="maximum VAR order")
-    p.add_argument("--workers", type=int, help="parallel worker processes")
+    p.add_argument("--m-max", dest="m_max", help="maximum VAR order")
+    p.add_argument("--workers", help="parallel worker processes")
     return p
 
 

@@ -113,9 +113,13 @@ def parse_value(key: str, raw: str):
 
 
 def load_config(path) -> AnalysisConfig:
-    """Read a flat ``key = value`` config file (# comments allowed)."""
+    """Read a flat UTF-8 ``key = value`` config file (# comments allowed)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     values = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

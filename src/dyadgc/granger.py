@@ -50,18 +50,6 @@ class Direction(enum.Enum):
 
 
 @dataclass(frozen=True)
-class VarModel:
-    """Least-squares fits of the four autoregressions at one model order."""
-
-    order: int
-    resid_var_enriched_x: float
-    resid_var_restricted_x: float
-    resid_var_enriched_y: float
-    resid_var_restricted_y: float
-    n_effective: int
-
-
-@dataclass(frozen=True)
 class GCTestResult:
     """Directional F statistics, p-values, and the resulting classification."""
 
@@ -113,44 +101,6 @@ def _ols(design: np.ndarray, targets: np.ndarray) -> tuple[float, int]:
     coeffs, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     resid = targets - design @ coeffs
     return float(resid @ resid), int(rank)
-
-
-def fit_var(x_segments, y_segments, order: int) -> VarModel:
-    """Fit enriched and restricted autoregressions in both directions.
-
-    Raises SingularDesign for degenerate data (constant targets, or a
-    rank-deficient enriched design despite enough rows). An underdetermined
-    system (fewer rows than coefficients) falls back to the minimum-norm
-    least-squares solution, which interpolates exactly.
-    """
-    design = build_design(x_segments, y_segments, order)
-    t_eff = len(design)
-    # contiguous copies: lstsq and the residual product round differently on strided views
-    x_lags, y_lags = design[:, 0:-2:2].copy(), design[:, 1:-2:2].copy()
-    x_t, y_t = design[:, -2].copy(), design[:, -1].copy()
-    if t_eff >= 2 and (np.ptp(x_t) == 0.0 or np.ptp(y_t) == 0.0):
-        raise SingularDesign("constant segment: no variation to regress on")
-    enriched = np.hstack([x_lags, y_lags])
-    rss_e_x, rank_x = _ols(enriched, x_t)
-    rss_e_y, rank_y = _ols(enriched, y_t)
-    if t_eff >= 2 * order and min(rank_x, rank_y) < 2 * order:
-        raise SingularDesign(
-            f"rank-deficient design: rank {min(rank_x, rank_y)} < {2 * order}"
-        )
-    rss_r_x, _ = _ols(x_lags, x_t)
-    rss_r_y, _ = _ols(y_lags, y_t)
-    # Nested least squares guarantees rss_restricted >= rss_enriched; clamp
-    # the tiny floating-point violations.
-    rss_r_x = max(rss_r_x, rss_e_x)
-    rss_r_y = max(rss_r_y, rss_e_y)
-    return VarModel(
-        order=order,
-        resid_var_enriched_x=rss_e_x / t_eff,
-        resid_var_restricted_x=rss_r_x / t_eff,
-        resid_var_enriched_y=rss_e_y / t_eff,
-        resid_var_restricted_y=rss_r_y / t_eff,
-        n_effective=t_eff,
-    )
 
 
 def cap_order(lengths, m_max: int) -> int:
@@ -213,12 +163,17 @@ def select_order(x_segments, y_segments, m_max: int, criterion: str = "bic") -> 
     return best_m
 
 
-def f_statistic(resid_var_restricted: float, resid_var_enriched: float, t_eff: int, order: int) -> float:
-    """Nested-model F statistic; 0 when the enriched model brings no improvement."""
+def _require_rows(t_eff: int, order: int) -> None:
+    """The F test needs more than 2M + 1 regression rows."""
     if t_eff <= 2 * order + 1:
         raise InsufficientData(
             f"need T > 2M + 1 for the F test, got T={t_eff}, M={order}"
         )
+
+
+def f_statistic(resid_var_restricted: float, resid_var_enriched: float, t_eff: int, order: int) -> float:
+    """Nested-model F statistic; 0 when the enriched model brings no improvement."""
+    _require_rows(t_eff, order)
     if resid_var_restricted <= 0.0:
         return 0.0  # both models interpolate exactly: no improvement to test
     f = (
@@ -339,10 +294,7 @@ def classify(p_y_causes_x: float, p_x_causes_y: float, alpha: float) -> Directio
 
 def _result(f_yx: float, f_xy: float, order: int, t_eff: int, alpha: float) -> GCTestResult:
     """Both F statistics referred to F(order, t_eff - 2 order - 1), and the outcome."""
-    if t_eff <= 2 * order + 1:
-        raise InsufficientData(
-            f"need T > 2M + 1 for the F test, got T={t_eff}, M={order}"
-        )
+    _require_rows(t_eff, order)
     d2 = t_eff - 2 * order - 1
     p_yx = f_sf(f_yx, order, d2)
     p_xy = f_sf(f_xy, order, d2)
@@ -359,11 +311,34 @@ def _result(f_yx: float, f_xy: float, order: int, t_eff: int, alpha: float) -> G
 
 
 def gc_test(x_segments, y_segments, order: int, alpha: float = 0.05) -> GCTestResult:
-    """Run both directional Granger tests over the given aligned segments."""
-    model = fit_var(x_segments, y_segments, order)
-    t_eff = model.n_effective
-    f_yx = f_statistic(model.resid_var_restricted_x, model.resid_var_enriched_x, t_eff, order)
-    f_xy = f_statistic(model.resid_var_restricted_y, model.resid_var_enriched_y, t_eff, order)
+    """Run both directional Granger tests over the given aligned segments.
+
+    The enriched and restricted autoregressions of each direction are fitted
+    by least squares on the rows of :func:`build_design`. Raises
+    InsufficientData unless there are more than 2M + 1 rows, and
+    SingularDesign for a constant target or a rank-deficient enriched design.
+    """
+    design = build_design(x_segments, y_segments, order)
+    t_eff = len(design)
+    _require_rows(t_eff, order)
+    # contiguous copies: lstsq and the residual product round differently on strided views
+    x_lags, y_lags = design[:, 0:-2:2].copy(), design[:, 1:-2:2].copy()
+    x_t, y_t = design[:, -2].copy(), design[:, -1].copy()
+    if np.ptp(x_t) == 0.0 or np.ptp(y_t) == 0.0:
+        raise SingularDesign("constant segment: no variation to regress on")
+    enriched = np.hstack([x_lags, y_lags])
+    rss_e_x, rank_x = _ols(enriched, x_t)
+    rss_e_y, rank_y = _ols(enriched, y_t)
+    if min(rank_x, rank_y) < 2 * order:
+        raise SingularDesign(
+            f"rank-deficient design: rank {min(rank_x, rank_y)} < {2 * order}"
+        )
+    rss_r_x, _ = _ols(x_lags, x_t)
+    rss_r_y, _ = _ols(y_lags, y_t)
+    # Nested least squares guarantees rss_restricted >= rss_enriched; clamp
+    # the tiny floating-point violations.
+    f_yx = f_statistic(max(rss_r_x, rss_e_x) / t_eff, rss_e_x / t_eff, t_eff, order)
+    f_xy = f_statistic(max(rss_r_y, rss_e_y) / t_eff, rss_e_y / t_eff, t_eff, order)
     return _result(f_yx, f_xy, order, t_eff, alpha)
 
 

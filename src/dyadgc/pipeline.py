@@ -123,24 +123,28 @@ class Manifest:
 
     @classmethod
     def load(cls, path) -> "Manifest":
+        """Read a UTF-8 manifest CSV; a leading byte-order mark is skipped."""
         path = Path(path)
         rows = []
-        with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            required = ("pair_id", "role", "condition", "path")
-            if reader.fieldnames is None or not set(required) <= set(reader.fieldnames):
-                raise FormatError(f"{path}: manifest needs columns {sorted(required)}")
-            for rec in reader:
-                blank = [k for k in required if not (rec[k] or "").strip()]
-                if blank:
-                    raise FormatError(
-                        f"{path}: row {reader.line_num}: missing or blank {', '.join(blank)}"
-                    )
-                csv_path = Path(rec["path"])
-                if not csv_path.is_absolute():
-                    csv_path = path.parent / csv_path
-                ids = (rec[k].strip() for k in ("pair_id", "role", "condition"))
-                rows.append(ManifestRow(*ids, csv_path))
+        try:
+            with path.open(newline="", encoding="utf-8-sig") as fh:
+                reader = csv.DictReader(fh)
+                required = ("pair_id", "role", "condition", "path")
+                if reader.fieldnames is None or not set(required) <= set(reader.fieldnames):
+                    raise FormatError(f"{path}: manifest needs columns {sorted(required)}")
+                for rec in reader:
+                    blank = [k for k in required if not (rec[k] or "").strip()]
+                    if blank:
+                        raise FormatError(
+                            f"{path}: row {reader.line_num}: missing or blank {', '.join(blank)}"
+                        )
+                    csv_path = Path(rec["path"])
+                    if not csv_path.is_absolute():
+                        csv_path = path.parent / csv_path
+                    ids = (rec[k].strip() for k in ("pair_id", "role", "condition"))
+                    rows.append(ManifestRow(*ids, csv_path))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         return cls(tuple(rows))
 
     def pair_ids(self) -> list[str]:
@@ -289,9 +293,7 @@ def _run_gc(segments, config: AnalysisConfig) -> tuple[str, GCTestResult | None]
         if config.gc_mode == "averaged":
             per, weights = [], []
             for sx, sy, ln in zip(segs_x, segs_y, lengths):
-                if ln - order <= 2 * order + 1:
-                    continue  # segment too short for its own F test
-                try:
+                try:  # a segment too short for its own F test is left out
                     per.append(gc_test([sx], [sy], order, config.alpha))
                     weights.append(ln)
                 except (SingularDesign, InsufficientData):

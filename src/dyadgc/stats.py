@@ -9,7 +9,7 @@ Benjamini-Hochberg step-up procedure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Mapping
 
@@ -19,25 +19,6 @@ from .errors import ConfigError, ShapeError
 
 #: largest n for which the exact signed-rank null distribution is enumerated.
 EXACT_LIMIT = 25
-
-
-@dataclass(frozen=True)
-class PairedSample:
-    """Paired per-participant values under two conditions."""
-
-    label: str
-    values_a: tuple[float, ...]
-    values_b: tuple[float, ...]
-
-    def __post_init__(self):
-        a = tuple(float(v) for v in self.values_a)
-        b = tuple(float(v) for v in self.values_b)
-        if len(a) != len(b):
-            raise ShapeError(f"{self.label}: paired samples differ in length")
-        if not all(np.isfinite(a)) or not all(np.isfinite(b)):
-            raise ShapeError(f"{self.label}: paired samples contain NaN/Inf")
-        object.__setattr__(self, "values_a", a)
-        object.__setattr__(self, "values_b", b)
 
 
 @dataclass(frozen=True)
@@ -93,17 +74,23 @@ def _normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2))
 
 
-def wilcoxon_signed_rank(s: PairedSample) -> WilcoxonResult:
+def wilcoxon_signed_rank(values_a, values_b) -> WilcoxonResult:
     """Two-sided Wilcoxon signed-rank test on paired values.
 
+    ``values_a[i]`` and ``values_b[i]`` are one participant's values under the
+    two conditions; unpaired, empty or non-finite samples raise ShapeError.
     Zero differences are dropped (classical convention, audit via
     ``n_effective``); ties get average ranks. Exact enumeration is used up to
     ``EXACT_LIMIT`` effective pairs, the tie-corrected normal approximation
     above that.
     """
-    if len(s.values_a) < 1:
-        raise ShapeError(f"{s.label}: empty sample")
-    diffs = np.asarray(s.values_a, dtype=float) - np.asarray(s.values_b, dtype=float)
+    a = np.asarray(values_a, dtype=float)
+    b = np.asarray(values_b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape or len(a) == 0:
+        raise ShapeError(f"need two non-empty paired samples, got shapes {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ShapeError("paired samples contain NaN/Inf")
+    diffs = a - b
     nonzero = diffs[diffs != 0.0]
     n = len(nonzero)
     if n == 0:
@@ -193,23 +180,15 @@ def condition_comparison(
                     vb.append(per[cond_b][expr])
             if not va:
                 continue
-            res = wilcoxon_signed_rank(
-                PairedSample(f"{expr}:{cond_a}-vs-{cond_b}", tuple(va), tuple(vb))
-            )
-            tests.append((expr, cond_a, cond_b, res))
+            tests.append((expr, cond_a, cond_b, wilcoxon_signed_rank(va, vb)))
     reject = benjamini_hochberg([t[3].p_value for t in tests], q=q)
     return [
         ComparisonRow(
             expression=expr,
             condition_a=ca,
             condition_b=cb,
-            p_value=res.p_value,
-            w_statistic=res.w_statistic,
-            w_plus=res.w_plus,
-            w_minus=res.w_minus,
-            n_effective=res.n_effective,
             significant_after_bh=bool(rej),
-            degenerate=res.degenerate,
+            **asdict(res),
         )
         for (expr, ca, cb, res), rej in zip(tests, reject)
     ]

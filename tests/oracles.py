@@ -5,7 +5,8 @@ than the library (direct per-window centered sums instead of prefix sums,
 subinterval counting instead of the bottom-up recurrence, exhaustive subset
 search instead of scheduling DP, sign-pattern enumeration instead of the
 counting polynomial, one least-squares solve per candidate VAR order instead
-of one QR for all orders), so agreement is meaningful.
+of one QR for all orders, regression rows built target by target instead of
+one index gather), so agreement is meaningful.
 
 The one exception is :func:`oracle_level_walk`: the miner's own prefix-sum
 walk without its certificate. It pins the certificate to the walk's float
@@ -247,3 +248,35 @@ def oracle_select_order(x_segments, y_segments, m_max: int, criterion: str = "bi
         if ic < best_ic:
             best_ic, best_m = ic, m
     return best_m
+
+
+def oracle_var_resid(x_segments, y_segments, order: int) -> dict:
+    """Unclamped residual variances (RSS / T) of the four autoregressions.
+
+    Each row is built on its own from one segment's target and the ``order``
+    values before it, and each model is one ``lstsq`` on its own columns:
+    ``restricted_x`` regresses x on its own lags, ``enriched_x`` on the lags
+    of both signals, and likewise for y. Nothing is clamped, so the nesting
+    inequality restricted >= enriched is the arithmetic's, not a ``max``.
+    """
+    lags = range(1, order + 1)
+    rows = [
+        ([xs[t - j] for j in lags], [ys[t - j] for j in lags], xs[t], ys[t])
+        for xs, ys in zip(x_segments, y_segments)
+        for t in range(order, len(xs))
+    ]
+    x_lags, y_lags, x_t, y_t = (np.array(col, dtype=float) for col in zip(*rows))
+    both = np.column_stack([x_lags, y_lags])
+
+    def resid_var(design, target):
+        coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+        e = target - design @ coef
+        return float(e @ e) / len(target)
+
+    return {
+        "t_eff": len(rows),
+        "restricted_x": resid_var(x_lags, x_t),
+        "enriched_x": resid_var(both, x_t),
+        "restricted_y": resid_var(y_lags, y_t),
+        "enriched_y": resid_var(both, y_t),
+    }

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dyadgc.cli import main
-from dyadgc.granger import Direction, cap_order, f_statistic, fit_var, gc_test, select_order
+from dyadgc.granger import Direction, cap_order, f_statistic, gc_test, select_order
 from dyadgc.intervals import (
     IntervalParams,
     correlated_intervals,
@@ -22,12 +22,17 @@ from dyadgc.intervals import (
     postprocess,
     segment_series,
 )
-from dyadgc.stats import PairedSample, benjamini_hochberg, wilcoxon_signed_rank
+from dyadgc.stats import benjamini_hochberg, wilcoxon_signed_rank
 from dyadgc.synth import CouplingSpec, gen_coupled_pair
 from dyadgc.timeseries import TimeSeries, standardize
 
 from generators import active_everywhere, gen_masked_transient_pair, gen_window_pair
-from oracles import oracle_longest_set, oracle_maximal_intervals, oracle_wilcoxon_p
+from oracles import (
+    oracle_longest_set,
+    oracle_maximal_intervals,
+    oracle_var_resid,
+    oracle_wilcoxon_p,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -188,7 +193,8 @@ def test_criterion_5_interval_selection_beats_full_span():
 
 
 def test_criterion_6_f_statistic_spot_check_and_nesting():
-    """Direct substitution F = 50 and the nested-variance inequality on random fits."""
+    """Direct substitution F = 50; on random fits, the unclamped nested-variance
+    inequality and gc_test's F against the independent least-squares oracle."""
     assert f_statistic(2.0, 1.0, 103, 1) == 50.0
     rng = np.random.default_rng(6)
     for trial in range(50):
@@ -196,11 +202,17 @@ def test_criterion_6_f_statistic_spot_check_and_nesting():
         x = np.cumsum(rng.normal(size=n)) * 0.1 + rng.normal(size=n)
         y = rng.normal(size=n) + 0.3 * np.concatenate(([0.0], x[:-1]))
         order = int(rng.integers(1, 4))
-        m = fit_var([x - x.mean()], [y - y.mean()], order)
-        assert m.resid_var_restricted_x >= m.resid_var_enriched_x - 1e-9
-        assert m.resid_var_restricted_y >= m.resid_var_enriched_y - 1e-9
+        xs, ys = [x - x.mean()], [y - y.mean()]
+        v = oracle_var_resid(xs, ys, order)
+        assert v["restricted_x"] >= v["enriched_x"] - 1e-9
+        assert v["restricted_y"] >= v["enriched_y"] - 1e-9
+        r = gc_test(xs, ys, order)
+        want_yx = f_statistic(v["restricted_x"], v["enriched_x"], v["t_eff"], order)
+        want_xy = f_statistic(v["restricted_y"], v["enriched_y"], v["t_eff"], order)
+        assert r.f_y_causes_x == pytest.approx(want_yx, rel=1e-9), f"trial {trial}"
+        assert r.f_x_causes_y == pytest.approx(want_xy, rel=1e-9), f"trial {trial}"
     print("\ncriterion 6 PASS: direct substitution gives F=50; nested inequality "
-          "holds on 50 random fits")
+          "and gc_test's F match the oracle on 50 random fits")
 
 
 def test_criterion_7_wilcoxon_exactness_and_bh():
@@ -213,9 +225,7 @@ def test_criterion_7_wilcoxon_exactness_and_bh():
                 diffs = rng.normal(size=n)  # continuous, no ties
             else:
                 diffs = rng.integers(-3, 4, size=n).astype(float)  # ties and zeros
-            r = wilcoxon_signed_rank(
-                PairedSample("t", tuple(diffs + 1.0), tuple(np.ones(n)))
-            )
+            r = wilcoxon_signed_rank(diffs + 1.0, np.ones(n))
             if r.degenerate:
                 assert np.all(diffs == 0)
                 continue

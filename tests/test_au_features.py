@@ -252,6 +252,20 @@ class TestParse:
             parse_au_csv(path)
         assert str(path) in str(exc.value)
 
+    # a byte-order mark, as spreadsheet programs write it; the quoted cell sends
+    # the file to the row-by-row parser, which reads it again from the start
+    @pytest.mark.parametrize("name", ["blank_line", "quoted_cell"])
+    def test_byte_order_mark_skipped(self, name, tmp_path, monkeypatch):
+        text = {**FAST_CASES, **EDGE_CASES}[name]
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = outcome(parse_au_csv, plain)
+        assert isinstance(want, list)  # the arrays, not an error
+        if name in FAST_CASES:
+            monkeypatch.setattr(au_features, "_parse_au_stream", refuse)
+        assert outcome(parse_au_csv, bom) == want
+
     @pytest.mark.parametrize("name", sorted(FAST_CASES) + sorted(EDGE_CASES))
     def test_matches_reference_parser(self, name, tmp_path, monkeypatch):
         path = tmp_path / f"{name}.csv"

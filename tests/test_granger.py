@@ -17,11 +17,10 @@ from dyadgc.granger import (
     classify,
     f_sf,
     f_statistic,
-    fit_var,
     gc_test,
     select_order,
 )
-from oracles import oracle_select_order
+from oracles import oracle_select_order, oracle_var_resid
 
 
 def ar1_pair(seed, n=2000, a=0.5):
@@ -94,39 +93,52 @@ class TestBuildDesign:
 
 
 class TestFitVar:
+    """The four autoregressions behind gc_test, checked against oracle_var_resid."""
+
     def test_known_generator_coefficient(self):
         # y_t = 0.8 x_(t-1) + e_t with white x: the enriched fit leaves the noise
         # variance, and the lag of x explains 0.8^2 var(x) on top of y's own past
         x, y = coupled_pair(7, strength=0.8, noise=0.1)
-        m = fit_var([x], [y], 1)
-        assert m.resid_var_enriched_y == pytest.approx(0.1**2, rel=0.1)
-        gain = m.resid_var_restricted_y - m.resid_var_enriched_y
+        v = oracle_var_resid([x], [y], 1)
+        assert v["enriched_y"] == pytest.approx(0.1**2, rel=0.1)
+        gain = v["restricted_y"] - v["enriched_y"]
         assert np.sqrt(gain / np.var(x)) == pytest.approx(0.8, abs=0.05)
+        want = f_statistic(v["restricted_y"], v["enriched_y"], v["t_eff"], 1)
+        assert gc_test([x], [y], 1).f_x_causes_y == pytest.approx(want, rel=1e-9)
 
     def test_independent_coefficients_near_zero(self):
-        # with y's lags carrying nothing, T (s'/s - 1) is about chi-squared with
-        # `order` degrees of freedom; the bound is its 1e-6 tail, about 5 sigma
+        # with y's lags carrying nothing, F is F(2, T - 5) distributed; the
+        # bound is its 1e-6 tail
         x, y = ar1_pair(8)
-        m = fit_var([x], [y], 2)
-        wald = m.n_effective * (m.resid_var_restricted_x / m.resid_var_enriched_x - 1.0)
-        assert wald < sps.chi2.isf(1e-6, 2)
+        r = gc_test([x], [y], 2)
+        assert r.f_y_causes_x < sps.f.isf(1e-6, 2, r.n_effective - 5)
 
-    def test_exact_interpolation_single_row(self):
-        m = fit_var([np.array([1.0, 2.0])], [np.array([3.0, 1.0])], 1)
-        assert m.n_effective == 1
-        assert m.resid_var_enriched_x == 0.0
-        assert m.resid_var_enriched_y == 0.0
+    def test_too_few_rows_refused_before_fitting(self):
+        # T = 3 = 2M + 1 rows: refused as insufficient before the constant
+        # target could be found singular
+        with pytest.raises(InsufficientData):
+            gc_test([np.ones(4)], [np.arange(4.0)], 1)
 
     def test_constant_segment_rejected(self):
         with pytest.raises(SingularDesign):
-            fit_var([np.ones(50)], [np.arange(50.0)], 1)
+            gc_test([np.ones(50)], [np.arange(50.0)], 1)
+
+    def test_rank_deficient_design_rejected(self):
+        x, _ = ar1_pair(9, n=300)
+        with pytest.raises(SingularDesign, match="rank-deficient"):
+            gc_test([x], [x.copy()], 2)
 
     def test_nested_inequality(self):
         for seed in range(20):
             x, y = ar1_pair(seed, n=300)
-            m = fit_var([x], [y], 3)
-            assert m.resid_var_restricted_x >= m.resid_var_enriched_x - 1e-9
-            assert m.resid_var_restricted_y >= m.resid_var_enriched_y - 1e-9
+            v = oracle_var_resid([x], [y], 3)
+            assert v["restricted_x"] >= v["enriched_x"] - 1e-9
+            assert v["restricted_y"] >= v["enriched_y"] - 1e-9
+            r = gc_test([x], [y], 3)
+            want_yx = f_statistic(v["restricted_x"], v["enriched_x"], v["t_eff"], 3)
+            want_xy = f_statistic(v["restricted_y"], v["enriched_y"], v["t_eff"], 3)
+            assert r.f_y_causes_x == pytest.approx(want_yx, rel=1e-9)
+            assert r.f_x_causes_y == pytest.approx(want_xy, rel=1e-9)
 
 
 class TestSelectOrder:
@@ -246,22 +258,20 @@ class TestFStatistic:
     def test_matches_independent_formula_on_fits(self):
         for seed in range(10):
             x, y = ar1_pair(seed, n=400)
-            m = fit_var([x], [y], 2)
-            t_eff = m.n_effective
-            got = f_statistic(m.resid_var_restricted_x, m.resid_var_enriched_x, t_eff, 2)
+            v = oracle_var_resid([x], [y], 2)
+            t_eff = v["t_eff"]
+            got = f_statistic(v["restricted_x"], v["enriched_x"], t_eff, 2)
             want = (
-                (m.resid_var_restricted_x - m.resid_var_enriched_x)
+                (v["restricted_x"] - v["enriched_x"])
                 * (t_eff - 5)
-                / (m.resid_var_restricted_x * 2)
+                / (v["restricted_x"] * 2)
             )
             assert got == pytest.approx(max(want, 0.0), rel=1e-12)
 
     def test_scale_invariance(self):
         x, y = ar1_pair(11, n=500)
-        m1 = fit_var([x], [y], 2)
-        m2 = fit_var([x * 37.5], [y * 37.5], 2)
-        f1 = f_statistic(m1.resid_var_restricted_x, m1.resid_var_enriched_x, m1.n_effective, 2)
-        f2 = f_statistic(m2.resid_var_restricted_x, m2.resid_var_enriched_x, m2.n_effective, 2)
+        f1 = gc_test([x], [y], 2).f_y_causes_x
+        f2 = gc_test([x * 37.5], [y * 37.5], 2).f_y_causes_x
         assert f1 == pytest.approx(f2, abs=1e-8)
 
     def test_insufficient_samples(self):

@@ -161,6 +161,44 @@ class TestConfig:
         assert not (tmp_path / "o").exists()
 
 
+    # one unusable value per flag: each is parsed as its config-file key, so the
+    # run exits 2 with the key named, not 1 with an argparse message
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [
+            ("--alpha", "abc", "alpha"), ("--beta", "x", "beta"), ("--lmin", "7.5", "l_min"),
+            ("--kernel", "wide", "median_kernel"), ("--extension", "1e2", "extension"),
+            ("--shifts", "a", "shifts"), ("--confidence", "high", "confidence"),
+            ("--mode", "foo", "gc_mode"), ("--signal-mode", "foo", "signal_mode"),
+            ("--expressions", "nonsense", "expressions"), ("--m-max", "1.5", "m_max"),
+            ("--workers", "two", "workers"),
+        ],
+    )
+    def test_bad_flag_value_is_a_config_error_naming_its_key(
+        self, tmp_path, capsys, flag, value, key
+    ):
+        manifest = _manifest_of_missing_files(tmp_path)
+        argv = ["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
+        assert main(argv + [f"{flag}={value}"]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"\xef\xbb\xbfalpha = 0.01\n")
+        assert load_config(path) == AnalysisConfig(alpha=0.01)
+
+    def test_non_utf8_config_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"alpha = 0.01  # \xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(path)
+        manifest = _manifest_of_missing_files(tmp_path)
+        argv = ["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--config", str(path)]) == 2
+        assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+
 class TestManifest:
     def test_load_and_paths_relative_to_manifest(self, cohort):
         manifest = Manifest.load(cohort)
@@ -205,6 +243,27 @@ class TestManifest:
         )
         with pytest.raises(FormatError, match=r"m\.csv: row 2: missing or blank pair_id"):
             Manifest.load(p)
+
+    def test_byte_order_mark_skipped(self, tmp_path, capsys):
+        # a manifest and a recording as a spreadsheet program saves them
+        manifest = make_demo_cohort(tmp_path, n_pairs=1, length=600, seed=5)
+        recording = tmp_path / "pair01_contempt_receiver.csv"
+        rows, intensities = Manifest.load(manifest).rows, parse_au_csv(recording).intensities
+        for path in (manifest, recording):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert Manifest.load(manifest).rows == rows
+        np.testing.assert_array_equal(parse_au_csv(recording).intensities, intensities)
+        assert main(["ingest", "--manifest", str(manifest)]) == 0
+        assert "manifest valid" in capsys.readouterr().out
+
+    def test_non_utf8_manifest_is_a_data_error(self, tmp_path, capsys):
+        p = tmp_path / "m.csv"
+        p.write_bytes(
+            b"pair_id,role,condition,path\n"
+            b"a\xff,sender,contempt,x.csv\na\xff,receiver,contempt,y.csv\n"
+        )
+        assert main(["ingest", "--manifest", str(p)]) == 2
+        assert f"error: {p}: not UTF-8 text" in capsys.readouterr().err
 
     def test_short_row_is_a_data_error(self, tmp_path, capsys):
         p = tmp_path / "m.csv"

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dyadgc.errors import ConfigError, ShapeError
 from dyadgc.stats import (
-    PairedSample,
     _normal_cdf,
     benjamini_hochberg,
     condition_comparison,
@@ -15,32 +14,32 @@ from dyadgc.stats import (
 from oracles import oracle_wilcoxon_p
 
 
-def sample(diffs):
+def signed_rank(diffs):
     d = np.asarray(diffs, dtype=float)
-    return PairedSample("test", tuple(d + 10.0), tuple(np.full(len(d), 10.0)))
+    return wilcoxon_signed_rank(d + 10.0, np.full(len(d), 10.0))
 
 
 class TestWilcoxon:
     def test_identical_samples_degenerate(self):
-        r = wilcoxon_signed_rank(PairedSample("t", (1, 2, 3), (1, 2, 3)))
+        r = wilcoxon_signed_rank((1, 2, 3), (1, 2, 3))
         assert r.degenerate
         assert r.p_value == 1.0
         assert r.n_effective == 0
 
     def test_all_positive_differences(self):
-        r = wilcoxon_signed_rank(sample([1, 2, 3, 4, 5, 6]))
+        r = signed_rank([1, 2, 3, 4, 5, 6])
         assert r.w_statistic == 0.0
         assert r.w_plus == 21.0
         assert r.p_value == 2 / 2**6
 
     def test_zero_differences_dropped(self):
-        r = wilcoxon_signed_rank(PairedSample("t", (5, 1, 2, 3), (5, 0, 0, 0)))
+        r = wilcoxon_signed_rank((5, 1, 2, 3), (5, 0, 0, 0))
         assert r.n_effective == 3
 
     def test_w_bound(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
-            r = wilcoxon_signed_rank(sample(rng.normal(size=15)))
+            r = signed_rank(rng.normal(size=15))
             assert 0 <= r.w_statistic <= r.n_effective * (r.n_effective + 1) / 2
 
     @pytest.mark.parametrize("seed", range(25))
@@ -48,7 +47,7 @@ class TestWilcoxon:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 11))
         diffs = rng.integers(-4, 5, size=n).astype(float)  # ties and zeros likely
-        r = wilcoxon_signed_rank(sample(diffs))
+        r = signed_rank(diffs)
         if r.degenerate:
             assert np.all(diffs == 0)
         else:
@@ -60,7 +59,7 @@ class TestWilcoxon:
         rng = np.random.default_rng(5)
         for _ in range(10):
             d = rng.normal(size=14)
-            r = wilcoxon_signed_rank(sample(d))
+            r = signed_rank(d)
             ref = scipy_wilcoxon(d, mode="exact")
             assert r.p_value == pytest.approx(ref.pvalue, abs=1e-12)
 
@@ -69,7 +68,7 @@ class TestWilcoxon:
 
         rng = np.random.default_rng(6)
         d = rng.normal(0.3, 1.0, size=60)
-        r = wilcoxon_signed_rank(sample(d))
+        r = signed_rank(d)
         ref = scipy_wilcoxon(d, mode="approx", correction=False)
         assert r.p_value == pytest.approx(ref.pvalue, rel=1e-9)
 
@@ -90,14 +89,23 @@ class TestWilcoxon:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=12)
         b = rng.normal(size=12)
-        r1 = wilcoxon_signed_rank(PairedSample("t", tuple(a), tuple(b)))
-        r2 = wilcoxon_signed_rank(PairedSample("t", tuple(a + offset), tuple(b + offset)))
+        r1 = wilcoxon_signed_rank(a, b)
+        r2 = wilcoxon_signed_rank(a + offset, b + offset)
         assert r1.w_statistic == r2.w_statistic
         assert r1.p_value == r2.p_value
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            PairedSample("t", (1, 2), (1,))
+            wilcoxon_signed_rank((1, 2), (1,))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [((), ()), ((1.0, np.nan), (1.0, 2.0)), ((1.0, 2.0), (np.inf, 2.0)), (((1.0,),), ((1.0,),))],
+        ids=["empty", "nan", "inf", "two_dimensional"],
+    )
+    def test_unusable_samples_rejected(self, a, b):
+        with pytest.raises(ShapeError):
+            wilcoxon_signed_rank(a, b)
 
 
 class TestBenjaminiHochberg:
