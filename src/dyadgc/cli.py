@@ -137,6 +137,9 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.pairs < 1:
+        print(f"dyadgc synth: error: --pairs must be at least 1, got {args.pairs}", file=sys.stderr)
+        return EXIT_USAGE
     manifest = make_demo_cohort(
         args.out, n_pairs=args.pairs, length=args.length, seed=args.seed
     )

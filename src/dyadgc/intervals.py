@@ -25,9 +25,11 @@ its own sums and in the walk's, and applies the walk's flatness floor at the
 span's full width, so it is exact: a certificate that fails leaves the run
 to the walk.
 
-:func:`correlated_intervals` reports sample indices into its two arrays; from
-:func:`mine_shifted` on, intervals are closed absolute frame ranges, so results
-from different shifts, runs, and action units can be pooled directly.
+:func:`correlated_intervals` mines all shifts at once: one stacked array of
+prefix sums, one first level for every shift, and a walk only for the shifts
+with a valid start. It reports sample indices into ``x``, tagged with the
+shift; from :func:`mine_shifted` on, intervals are closed absolute frame
+ranges, so results from different shifts, runs, and action units pool directly.
 """
 
 from __future__ import annotations
@@ -160,23 +162,18 @@ def _require_aligned(x: TimeSeries, y: TimeSeries, caller: str) -> None:
         )
 
 
-def _window_stats(csum, length: int, a: int, b: int):
+def _window_stats(c, length: int, a: int, b: int):
     """Centered (Sxx, Syy, Sxy) of each window of ``length`` starting at ``a .. b - 1``.
 
-    ``csum`` is the tuple (cx, cy, cxx, cyy, cxy, flat_tol) with prefix arrays
-    of size n + 1.
+    ``c`` holds the prefix sums of x, y, x², y² and xy along its first axis
+    and runs along its last; any axes between are kept.
     """
-    cx, cy, cxx, cyy, cxy, _ = csum
     l = length
-    sx = cx[a + l : b + l] - cx[a:b]
-    sy = cy[a + l : b + l] - cy[a:b]
-    sxx = cxx[a + l : b + l] - cxx[a:b]
-    syy = cyy[a + l : b + l] - cyy[a:b]
-    sxy = cxy[a + l : b + l] - cxy[a:b]
+    sx, sy, sxx, syy, sxy = c[..., a + l : b + l] - c[..., a:b]
     return sxx - sx * sx / l, syy - sy * sy / l, sxy - sx * sy / l
 
 
-def _valid_starts(stats, length: int, beta: float, tol: float) -> np.ndarray:
+def _valid_starts(stats, length: int, beta: float, tol) -> np.ndarray:
     """Whether each window of ``length`` with centered sums ``stats`` has r >= ``beta``.
 
     A window whose variance falls under the flatness tolerance ``tol`` per
@@ -188,17 +185,30 @@ def _valid_starts(stats, length: int, beta: float, tol: float) -> np.ndarray:
     return ok & (cov / np.sqrt(np.where(ok, vx * vy, 1.0)) >= beta)
 
 
-def _prefix_sums(xv: np.ndarray, yv: np.ndarray):
-    # Center on the global means first: keeps the cancellation in
-    # sum(x^2) - sum(x)^2/l benign for offset-heavy signals.
-    xc = xv - xv.mean()
-    yc = yv - yv.mean()
-    scale = max(float(np.mean(xc * xc)), float(np.mean(yc * yc)), 1e-300)
-    pad = lambda a: np.concatenate(([0.0], np.cumsum(a)))
-    return (pad(xc), pad(yc), pad(xc * xc), pad(yc * yc), pad(xc * yc), scale * _FLAT_REL)
+def _prefix_sums(x: np.ndarray, y: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of centered x, y, x², y² and xy over each shift's overlap, and its flatness tolerance.
+
+    Row i pairs ``x[t]`` with ``y[t + shifts[i]]``; in the (5, k, L + 1)
+    array each row starts at 0 and holds its total past its own length.
+    """
+    n = len(x)
+    c = np.zeros((5, len(shifts), n - min(abs(s) for s in shifts) + 1))
+    # np.mean's own pairwise sum and division, without its per-call overhead
+    mean = lambda a: float(np.add.reduce(a)) / len(a)
+    for i, s in enumerate(shifts):
+        xs, ys = x[max(-s, 0) : n - max(s, 0)], y[max(s, 0) : n - max(-s, 0)]
+        # Center on the row's own means first: keeps the cancellation in
+        # sum(x^2) - sum(x)^2/l benign for offset-heavy signals.
+        np.subtract(xs, mean(xs), out=c[0, i, 1 : len(xs) + 1])
+        np.subtract(ys, mean(ys), out=c[1, i, 1 : len(xs) + 1])
+    np.multiply(c[:2], c[:2], out=c[2:4])
+    np.multiply(c[0], c[1], out=c[4])
+    rows = [c[2:4, i, 1 : n - abs(s) + 1] for i, s in enumerate(shifts)]
+    tol = [max(mean(r[0]), mean(r[1]), 1e-300) * _FLAT_REL for r in rows]
+    return np.cumsum(c, axis=-1, out=c), np.array(tol)
 
 
-def _certified(csum, l: int, a: int, b: int, beta: float, vx: np.ndarray, vy: np.ndarray) -> bool:
+def _certified(c, l: int, a: int, b: int, beta: float, tol: float, vx: np.ndarray, vy: np.ndarray) -> bool:
     """Whether the walk would keep run ``[a, b]`` at level ``l`` whole up to one start.
 
     Every start of the run is valid at length ``l``; ``vx`` and ``vy`` are
@@ -212,7 +222,7 @@ def _certified(csum, l: int, a: int, b: int, beta: float, vx: np.ndarray, vy: np
     Expanding that residual and one AM-GM step give
     r_w >= sqrt(1 - res_U / m_y).
     """
-    cx, cy, cxx, cyy, cxy, tol = csum
+    cx, cy, cxx, cyy, cxy = c
     n = len(cx) - 1
     e = b + l
     w = e - a
@@ -239,48 +249,57 @@ def _certified(csum, l: int, a: int, b: int, beta: float, vx: np.ndarray, vy: np
 
 
 def correlated_intervals(x: np.ndarray, y: np.ndarray, p: IntervalParams) -> list[Interval]:
-    """All maximal correlated intervals between two 1-D signals of equal length.
+    """All maximal correlated intervals between ``x[t]`` and ``y[t + s]``, for each shift s of ``p.shifts``.
 
-    The result is sorted by start; intervals may overlap each other.
-    Coordinates are sample indices into ``x`` and ``y``. A non-finite value
-    raises :class:`ShapeError`.
+    Coordinates are sample indices into ``x``, each interval tagged with its
+    shift; the result is sorted by start, and intervals may overlap each
+    other. A shift whose overlap is shorter than ``p.l_min`` contributes
+    nothing. A non-finite value raises :class:`ShapeError`.
     """
     if x.ndim != 1 or x.shape != y.shape:
         raise ShapeError(f"need two 1-D signals of equal length, got {x.shape} and {y.shape}")
     n = len(x)
     if n < p.l_min:
         raise ShapeError(f"series length {n} below minimum interval length {p.l_min}")
-    csum = _prefix_sums(x, y)
-    # a NaN or Inf anywhere (or an overflowing square) leaves every later prefix total non-finite
-    if not np.isfinite([c[-1] for c in csum[:5]]).all():
+    shifts = [s for s in dict.fromkeys(p.shifts) if n - abs(s) >= p.l_min]
+    if not shifts:
+        return []
+    c, tols = _prefix_sums(x, y, shifts)
+    # a NaN or Inf anywhere in a row (or an overflowing square) leaves that row's totals non-finite
+    if not np.isfinite(c[..., -1]).all():
         raise ShapeError("correlated_intervals needs finite signals")
-    tol = csum[5]
+    lengths = n - np.abs(shifts)
+    # valid length-l_min starts of every row; starts past a row's own n - l_min are masked out
+    w = c.shape[2] - p.l_min
+    first = _valid_starts(_window_stats(c, p.l_min, 0, w), p.l_min, p.beta, tols[:, None])
+    first &= np.arange(w) <= (lengths - p.l_min)[:, None]
 
     out: list[Interval] = []
-    l = p.l_min
-    # valid length-l starts, as closed runs [a, b]
-    live = runs(_valid_starts(_window_stats(csum, l, 0, n - l + 1), l, p.beta, tol))
-    while live:
-        nxt_runs = []
-        certify = (l - p.l_min) % _CERT_EVERY == 0
-        for a, b in live:
-            # start s is valid at length l + 1 iff s and s + 1 are valid at
-            # length l (so a <= s < b) and its own r clears the threshold
-            stats = _window_stats(csum, l + 1, a, b)
-            if certify and b - a + 1 >= _CERT_MIN_WIDTH and _certified(csum, l, a, b, p.beta, *stats[:2]):
-                out.append(Interval(a, b + l - 1))
-                continue
-            nxt = _valid_starts(stats, l + 1, p.beta, tol)
-            if b > a and nxt.all():
-                nxt_runs.append((a, b - 1))
-                continue
-            # maximal: neither [s - 1, s + l - 1] nor [s, s + l] is valid
-            grown = np.concatenate(([False], nxt)) | np.concatenate((nxt, [False]))
-            for s in np.flatnonzero(~grown):
-                out.append(Interval(a + int(s), a + int(s) + l - 1))
-            nxt_runs += runs(nxt, a)
-        live = nxt_runs
-        l += 1
+    for i in np.flatnonzero(first.any(axis=1)):
+        s, cs, tol = shifts[i], c[:, i, : lengths[i] + 1], tols[i]
+        off = max(-s, 0)
+        l, live = p.l_min, runs(first[i])  # valid length-l starts, as closed runs [a, b]
+        while live:
+            nxt_runs = []
+            certify = (l - p.l_min) % _CERT_EVERY == 0
+            for a, b in live:
+                # start t is valid at length l + 1 iff t and t + 1 are valid at
+                # length l (so a <= t < b) and its own r clears the threshold
+                stats = _window_stats(cs, l + 1, a, b)
+                if certify and b - a + 1 >= _CERT_MIN_WIDTH and _certified(cs, l, a, b, p.beta, tol, *stats[:2]):
+                    out.append(Interval(off + a, off + b + l - 1, s))
+                    continue
+                nxt = _valid_starts(stats, l + 1, p.beta, tol)
+                if b > a and nxt.all():
+                    nxt_runs.append((a, b - 1))
+                    continue
+                # maximal: neither [t - 1, t + l - 1] nor [t, t + l] is valid
+                grown = np.concatenate(([False], nxt)) | np.concatenate((nxt, [False]))
+                for t in np.flatnonzero(~grown):
+                    out.append(Interval(off + a + int(t), off + a + int(t) + l - 1, s))
+                nxt_runs += runs(nxt, a)
+            live = nxt_runs
+            l += 1
     out.sort()
     return out
 
@@ -346,21 +365,8 @@ def mine_shifted(x: TimeSeries, y: TimeSeries, p: IntervalParams) -> IntervalSet
     the partner is shorter than ``l_min`` contribute nothing.
     """
     _require_aligned(x, y, "mine_shifted")
-    n = len(x)
-    if n < p.l_min:
-        raise ShapeError(f"series length {n} below minimum interval length {p.l_min}")
-    candidates: list[Interval] = []
-    for s in dict.fromkeys(p.shifts):
-        if n - abs(s) < p.l_min:
-            continue
-        if s >= 0:
-            xa, ya, off = x.values[: n - s], y.values[s:], 0
-        else:
-            xa, ya, off = x.values[-s:], y.values[: n + s], -s
-        off += x.start_frame
-        for iv in correlated_intervals(xa, ya, p):
-            candidates.append(Interval(off + iv.start, off + iv.end, shift=s))
-    return longest_set(candidates)
+    ivs = correlated_intervals(x.values, y.values, p)
+    return longest_set(Interval(x.start_frame + iv.start, x.start_frame + iv.end, iv.shift) for iv in ivs)
 
 
 def intersect_sets(sets) -> IntervalSet:

@@ -528,7 +528,8 @@ def selection_path(directory, pair_id: str, condition: str, expression: str) -> 
 def read_selections(directory, manifest, config) -> dict[tuple[str, str], dict[str, IntervalSet]]:
     """Every cell's written selection, in :func:`mine_selections`' shape.
 
-    Each cell needs its own file; a missing or malformed one is a
+    Each cell needs its own UTF-8 file (a leading byte-order mark is
+    skipped); a missing, malformed or undecodable one is a
     :class:`FormatError` naming it. Other files are never read.
     """
     out: dict[tuple[str, str], dict[str, IntervalSet]] = {}
@@ -537,7 +538,7 @@ def read_selections(directory, manifest, config) -> dict[tuple[str, str], dict[s
         for name in config.expressions:
             path = selection_path(directory, pair_id, condition, name)
             try:
-                per_expr[name] = IntervalSet.from_tsv(path.read_text())
+                per_expr[name] = IntervalSet.from_tsv(path.read_text(encoding="utf-8-sig"))
             except OSError as exc:
                 raise FormatError(f"{path}: cannot read interval selection: {exc.strerror}") from exc
             except (AnalysisError, UnicodeDecodeError) as exc:

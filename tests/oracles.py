@@ -102,7 +102,8 @@ def oracle_level_walk(xv, yv, beta, l_min):
     every run is walked one length at a time until it is emitted, so any run
     the certificate settles at once must come out equal to this.
     """
-    csum = _prefix_sums(np.asarray(xv, dtype=float), np.asarray(yv, dtype=float))
+    c, tol = _prefix_sums(np.asarray(xv, dtype=float), np.asarray(yv, dtype=float), (0,))
+    csum = (*c[:, 0], tol[0])
     n = len(xv)
     out = []
     l = l_min

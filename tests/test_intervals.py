@@ -287,7 +287,7 @@ class TestCertificate:
         wave = (np.arange(6 * period) % period < period // 2).astype(float)
         x = np.r_[1e-7 * rng.normal(size=400), wave]
         y = np.r_[5.0 * rng.normal(size=400), wave]
-        tol = intervals._prefix_sums(np.zeros_like(y), y)[5]  # set by y alone
+        tol = intervals._prefix_sums(np.zeros_like(y), y, (0,))[1][0]  # set by y alone
         x[400:] *= np.sqrt(tol / 0.235)
         got = mined(x, y, 0.8, period - 1)
         assert got == oracle_level_walk(x, y, 0.8, period - 1)
@@ -385,6 +385,78 @@ class TestLongestSet:
                 if all(iv.start > c.end or c.start > iv.end for c in chosen):
                     chosen.append(iv)
             assert best >= sum(iv.length for iv in chosen)
+
+
+class TestShiftGrid:
+    """One call mines every shift of the grid as mining each shift's own slices would."""
+
+    def test_grid_equals_per_shift_mining(self, monkeypatch):
+        calls = certificate_spy(monkeypatch)
+        seen = set()
+
+        @given(
+            st.integers(0, 2**31 - 1),
+            st.integers(2, 60),
+            st.integers(0, 200),
+            st.lists(st.integers(-40, 40), min_size=1, max_size=7),
+            st.floats(0.5, 0.95),
+        )
+        @settings(max_examples=200)
+        def check(seed, l_min, slack, shifts, beta):
+            rng = np.random.default_rng(seed)
+            n = l_min + slack
+            x, y = rng.normal(size=(2, n))
+            # y echoes x at one of the grid's shifts over a stretch of up to 3 l_min
+            lag = shifts[int(rng.integers(len(shifts)))]
+            lo = int(rng.integers(0, n))
+            t = np.arange(lo, min(n, lo + int(rng.integers(l_min, 3 * l_min + 1))))
+            t = t[(t + lag >= 0) & (t + lag < n)]
+            y[t + lag] = x[t] + 0.2 * rng.normal(size=len(t))
+
+            p = IntervalParams(beta=beta, l_min=l_min, shifts=tuple(shifts))
+            got = [(iv.start, iv.end, iv.shift) for iv in correlated_intervals(x, y, p)]
+            p0 = IntervalParams(beta=beta, l_min=l_min, shifts=(0,))
+            want = []
+            for s in dict.fromkeys(shifts):
+                if n - abs(s) < l_min:
+                    seen.add("short overlap")
+                    continue
+                off = max(-s, 0)
+                xs, ys = x[off : n - max(s, 0)], y[max(s, 0) : n - off]
+                want += [(iv.start + off, iv.end + off, s) for iv in correlated_intervals(xs, ys, p0)]
+            assert got == sorted(want, key=lambda iv: iv[:2])
+            if len(set(shifts)) < len(shifts):
+                seen.add("duplicate")
+            if any(s < 0 for _, _, s in got):
+                seen.add("negative")
+            if got and slack <= 5:
+                seen.add("near l_min")
+
+        check()
+        assert seen == {"short overlap", "duplicate", "negative", "near l_min"}
+        assert any(fired for _, fired in calls)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_rows_equal_one_dimensional_sums(self, seed):
+        # the grid's results are the per-shift results only because each row of
+        # the stacked array is bit for bit the 1-D mean, product and cumsum
+        rng = np.random.default_rng(seed)
+        n = 400 + 37 * seed
+        x = 3.0 + rng.normal(size=n)
+        y = np.round(-2.0 + rng.normal(size=n), 1 + seed)
+        shifts = (-12, -5, 0, 4, 12)
+        c, tol = intervals._prefix_sums(x, y, shifts)
+        assert c.shape == (5, len(shifts), n + 1)
+        for i, s in enumerate(shifts):
+            xs, ys = (x[-s:], y[: n + s]) if s < 0 else (x[: n - s], y[s:])
+            xc, yc = xs - np.mean(xs), ys - np.mean(ys)
+            m = len(xs)
+            for row, v in zip(c[:, i], (xc, yc, xc * xc, yc * yc, xc * yc)):
+                want = np.concatenate(([0.0], np.cumsum(v)))
+                assert row[: m + 1].tobytes() == want.tobytes()
+                assert (row[m + 1 :] == want[-1]).all()
+            scale = max(float(np.mean(xc * xc)), float(np.mean(yc * yc)), 1e-300)
+            assert tol[i] == scale * intervals._FLAT_REL
 
 
 class TestMineShifted:

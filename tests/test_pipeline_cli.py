@@ -806,6 +806,14 @@ class TestCLI:
                      "--seed", "5"]) == 0
         assert (out / "manifest.csv").exists()
 
+    @pytest.mark.parametrize("pairs", ["0", "-1"])
+    def test_synth_needs_a_pair(self, tmp_path, capsys, pairs):
+        # it used to write a header-only manifest, which ingest and pipeline accepted
+        out = tmp_path / "synth"
+        assert main(["synth", "--out", str(out), "--pairs", pairs]) == 1
+        assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 #: every computable expression, per_au + averaged: the config of perfbench's wide workload
 WIDE = {
@@ -926,6 +934,36 @@ class TestStages:
                 "--intervals-dir", str(ivdir)]
         assert main(argv) == 2
         assert f"error: {bad}: line 1: " in capsys.readouterr().err
+
+    def test_byte_order_mark_skipped(self, small_cohort, tmp_path):
+        # a spreadsheet program saves a TSV with ef bb bf in front
+        ivdir, bom = tmp_path / "iv", tmp_path / "bom"
+        assert main(["intervals", "--manifest", str(small_cohort), "--out", str(ivdir)]) == 0
+        bom.mkdir()
+        for path in ivdir.glob("*.tsv"):
+            (bom / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        manifest = Manifest.load(small_cohort)
+        plain = read_selections(ivdir, manifest, AnalysisConfig())
+        assert any(len(sel) for per_expr in plain.values() for sel in per_expr.values())
+        assert read_selections(bom, manifest, AnalysisConfig()) == plain
+        argv = ["granger", "--manifest", str(small_cohort)]
+        assert main(argv + ["--out", str(tmp_path / "gc"), "--intervals-dir", str(ivdir)]) == 0
+        assert main(argv + ["--out", str(tmp_path / "gc_bom"), "--intervals-dir", str(bom)]) == 0
+        written = (tmp_path / "gc_bom" / "results.jsonl").read_bytes()
+        assert written == (tmp_path / "gc" / "results.jsonl").read_bytes()
+
+    def test_non_utf8_tsv_names_the_file(self, small_cohort, tmp_path, capsys):
+        ivdir = tmp_path / "iv"
+        assert main(["intervals", "--manifest", str(small_cohort), "--out", str(ivdir)]) == 0
+        bad = ivdir / "pair01_objective_sadness_lower.tsv"
+        bad.write_bytes(b"12\t\xff\t\n")
+        with pytest.raises(FormatError, match="sadness_lower.tsv: 'utf-8' codec can't decode"):
+            read_selections(ivdir, Manifest.load(small_cohort), AnalysisConfig())
+        argv = ["granger", "--manifest", str(small_cohort), "--out", str(tmp_path / "gc"),
+                "--intervals-dir", str(ivdir)]
+        assert main(argv) == 2
+        assert f"error: {bad}: 'utf-8' codec can't decode" in capsys.readouterr().err
+        assert not (tmp_path / "gc" / "results.jsonl").exists()
 
     @pytest.mark.parametrize(
         "text", ["not json\n", '{"conditions": [], "occurrence": []}\n'], ids=["text", "no_config"]
