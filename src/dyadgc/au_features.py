@@ -372,14 +372,11 @@ def baseline_stats(recordings: Iterable[AURecording]) -> AUBaseline:
 def au_activation(rec: AURecording, base: AUBaseline, factor: float = 0.5) -> np.ndarray:
     """Per-AU activation: frame k is active iff intensity >= mean + factor * std.
 
-    A (17, span) bool matrix in :data:`AU_ROW` order whose columns run from
-    the recording's first to last frame; missing frames are inactive.
+    A (17, n_frames) bool matrix in :data:`AU_ROW` order with one column per
+    frame of ``rec.frame_indices``. A missing frame has no column, so it
+    counts as inactive, and a jump in the frame index costs no memory.
     """
-    frames = rec.frame_indices
-    start = int(frames[0]) if rec.n_frames else 0
-    active = np.zeros((len(AU_IDS), int(frames[-1]) + 1 - start if rec.n_frames else 0), bool)
-    active[:, frames - start] = rec.intensities >= (base.mean + factor * base.std)[:, None]
-    return active
+    return rec.intensities >= (base.mean + factor * base.std)[:, None]
 
 
 def expression_activation(active: np.ndarray, expr: ExpressionDef) -> np.ndarray:

@@ -15,15 +15,17 @@ inside the runs of starts valid at length ``l``, so a level costs vectorized
 work in proportion to the starts still valid, not to the series length.
 
 A correlated stretch of W frames would still take about W levels, each over
-the whole run. So every 16th level, a run at least 32 starts wide is offered
-to a certificate (:func:`_certified`) that settles it in one vector op: if
-the least-squares line of the run's whole span leaves a residual small
-against the least receiver variance of any window, every window of the span
-clears ``beta``, so the walk would shrink the run level by level and emit
-exactly that span. The test keeps a margin on r² that covers float error in
-its own sums and in the walk's, and applies the walk's flatness floor at the
-span's full width, so it is exact: a certificate that fails leaves the run
-to the walk.
+the whole run. So every 16th level ``l``, a run at least 32 starts wide is
+offered to a certificate (:func:`_certified`) that settles it in a few
+vector ops. It fits one least-squares line to the run's whole span and
+checks it window by window: at every start, the line's residual over the
+next ``2l + 1`` frames must be small against the receiver variance of the
+``l + 1`` frames starting there. Then every window of the span clears
+``beta``, so the walk would shrink the run level by level and emit exactly
+that span. The test keeps a margin on r² that covers float error in its own
+sums and in the walk's, and applies the walk's flatness floor at the span's
+full width, so it is exact: a certificate that fails leaves the run to the
+walk.
 
 :func:`correlated_intervals` mines all shifts at once: one stacked array of
 prefix sums, one first level for every shift, and a walk only for the shifts
@@ -185,6 +187,17 @@ def _valid_starts(stats, length: int, beta: float, tol) -> np.ndarray:
     return ok & (cov / np.sqrt(np.where(ok, vx * vy, 1.0)) >= beta)
 
 
+def _mean(a: np.ndarray) -> float:
+    """np.mean's own pairwise sum and division, without its per-call overhead."""
+    return float(np.add.reduce(a)) / len(a)
+
+
+def _overlap(x: np.ndarray, y: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the samples pairing ``x[t]`` with ``y[t + s]``."""
+    n = len(x)
+    return x[max(-s, 0) : n - max(s, 0)], y[max(s, 0) : n - max(-s, 0)]
+
+
 def _prefix_sums(x: np.ndarray, y: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray]:
     """Prefix sums of centered x, y, x², y² and xy over each shift's overlap, and its flatness tolerance.
 
@@ -193,34 +206,39 @@ def _prefix_sums(x: np.ndarray, y: np.ndarray, shifts) -> tuple[np.ndarray, np.n
     """
     n = len(x)
     c = np.zeros((5, len(shifts), n - min(abs(s) for s in shifts) + 1))
-    # np.mean's own pairwise sum and division, without its per-call overhead
-    mean = lambda a: float(np.add.reduce(a)) / len(a)
     for i, s in enumerate(shifts):
-        xs, ys = x[max(-s, 0) : n - max(s, 0)], y[max(s, 0) : n - max(-s, 0)]
+        xs, ys = _overlap(x, y, s)
         # Center on the row's own means first: keeps the cancellation in
         # sum(x^2) - sum(x)^2/l benign for offset-heavy signals.
-        np.subtract(xs, mean(xs), out=c[0, i, 1 : len(xs) + 1])
-        np.subtract(ys, mean(ys), out=c[1, i, 1 : len(xs) + 1])
+        np.subtract(xs, _mean(xs), out=c[0, i, 1 : len(xs) + 1])
+        np.subtract(ys, _mean(ys), out=c[1, i, 1 : len(xs) + 1])
     np.multiply(c[:2], c[:2], out=c[2:4])
     np.multiply(c[0], c[1], out=c[4])
     rows = [c[2:4, i, 1 : n - abs(s) + 1] for i, s in enumerate(shifts)]
-    tol = [max(mean(r[0]), mean(r[1]), 1e-300) * _FLAT_REL for r in rows]
+    tol = [max(_mean(r[0]), _mean(r[1]), 1e-300) * _FLAT_REL for r in rows]
     return np.cumsum(c, axis=-1, out=c), np.array(tol)
 
 
-def _certified(c, l: int, a: int, b: int, beta: float, tol: float, vx: np.ndarray, vy: np.ndarray) -> bool:
+def _certified(c, l: int, a: int, b: int, beta: float, tol: float, vx: np.ndarray, vy: np.ndarray, row) -> bool:
     """Whether the walk would keep run ``[a, b]`` at level ``l`` whole up to one start.
 
     Every start of the run is valid at length ``l``; ``vx`` and ``vy`` are
-    the centered Sxx and Syy of its length-``(l + 1)`` windows. True means
-    every window of ``U = [a, b + l - 1]`` of length ``l + 1`` or more passes
-    the walk's own float test, so the walk would emit exactly ``U``.
+    the centered Sxx and Syy of its length-``(l + 1)`` windows, and ``row``
+    holds the row's raw ``(x, y)`` samples and their means, from which the
+    prefix sums ``c`` were built. True means every window of
+    ``U = [a, b + l - 1]`` of length ``l + 1`` or more passes the walk's own
+    float test, so the walk would emit exactly ``U``.
 
-    Why: let U's least-squares line have slope g > 0 and residual res_U. On
-    any window w of U the same line leaves at most res_U, and a window's
-    centered Syy only grows with the window, so Syy(w) >= m_y = min(vy).
-    Expanding that residual and one AM-GM step give
-    r_w >= sqrt(1 - res_U / m_y).
+    Why: let U's least-squares line have slope g > 0, residuals e and
+    running residual sums E, counted from a. A window w starting u frames
+    into U with length l + 1 to 2l + 1 leaves at most
+    E[min(u + 2l + 1, W)] - E[u] =: R_u on that line (W = |U|), and its
+    centered Syy is at least vy[u], since a window's Syy only grows with the
+    window. Any longer window splits into such pieces,
+    whose residuals add while their Syy sum to at most the window's. So if
+    R_u <= (1 - beta^2) vy[u] for every start u, every window w of U has a
+    line of slope g leaving at most (1 - beta^2) Syy(w), and expanding that
+    residual with one AM-GM step gives r_w >= beta.
     """
     cx, cy, cxx, cyy, cxy = c
     n = len(cx) - 1
@@ -236,7 +254,8 @@ def _certified(c, l: int, a: int, b: int, beta: float, tol: float, vx: np.ndarra
     # Absolute float error of any centered window sum taken from the
     # sequential prefix sums: (2n + 3) eps per prefix total, times
     # 1 + 2 sqrt(n / k) from subtracting s^2 / k for windows k >= l + 1.
-    unit = (2 * n + 3) * np.finfo(float).eps * (1.0 + 2.0 * np.sqrt(n / (l + 1)))
+    eps = np.finfo(float).eps
+    unit = (2 * n + 3) * eps * (1.0 + 2.0 * np.sqrt(n / (l + 1)))
     err_x, err_y = unit * cxx[n], unit * cyy[n]
     # The walk's flatness floor grows with the window (vx > tol * k), so the
     # smallest variance must clear it at U's full width, net of float error.
@@ -245,7 +264,19 @@ def _certified(c, l: int, a: int, b: int, beta: float, tol: float, vx: np.ndarra
     # The margin on r^2 covers the float error of this test and of the walk's
     # r on every window of U (a few multiples of err / m each).
     margin = max(1e-6, 16.0 * (err_x / m_x + err_y / m_y))
-    return 1.0 - (syy - sxy * sxy / sxx) / m_y >= beta * beta + margin
+    # Residuals of U's line on the very centered values the prefix sums
+    # added (xs - mx bit for bit), recomputed so no centered copy is kept.
+    xs, ys, mx, my = row
+    res = ys[a:e] - my - sy / w
+    res -= sxy / sxx * (xs[a:e] - mx - sx / w)
+    E = np.zeros(w + 1)
+    np.cumsum(res * res, out=E[1:])
+    # E's float error: its running sum, (2W + 2) eps of E[W] <= Syy(U), and
+    # the residuals' own rounding, under 9 eps Syy(U) by Cauchy-Schwarz.
+    err_e = (2 * w + 11) * eps * (syy + 2 * err_y)
+    u = np.arange(b - a)
+    cover = E[np.minimum(u + 2 * l + 1, w)] - E[u]
+    return bool((cover + err_e <= (1.0 - beta * beta - margin) * vy).all())
 
 
 def correlated_intervals(x: np.ndarray, y: np.ndarray, p: IntervalParams) -> list[Interval]:
@@ -277,6 +308,8 @@ def correlated_intervals(x: np.ndarray, y: np.ndarray, p: IntervalParams) -> lis
     out: list[Interval] = []
     for i in np.flatnonzero(first.any(axis=1)):
         s, cs, tol = shifts[i], c[:, i, : lengths[i] + 1], tols[i]
+        xs, ys = _overlap(x, y, s)
+        row = (xs, ys, _mean(xs), _mean(ys))
         off = max(-s, 0)
         l, live = p.l_min, runs(first[i])  # valid length-l starts, as closed runs [a, b]
         while live:
@@ -286,7 +319,8 @@ def correlated_intervals(x: np.ndarray, y: np.ndarray, p: IntervalParams) -> lis
                 # start t is valid at length l + 1 iff t and t + 1 are valid at
                 # length l (so a <= t < b) and its own r clears the threshold
                 stats = _window_stats(cs, l + 1, a, b)
-                if certify and b - a + 1 >= _CERT_MIN_WIDTH and _certified(cs, l, a, b, p.beta, tol, *stats[:2]):
+                wide = certify and b - a + 1 >= _CERT_MIN_WIDTH
+                if wide and _certified(cs, l, a, b, p.beta, tol, *stats[:2], row):
                     out.append(Interval(off + a, off + b + l - 1, s))
                     continue
                 nxt = _valid_starts(stats, l + 1, p.beta, tol)

@@ -16,6 +16,7 @@ from dyadgc.intervals import (
     postprocess,
     segment_series,
 )
+from dyadgc.synth import CouplingSpec, gen_coupled_pair
 from dyadgc.timeseries import TimeSeries, runs
 
 from generators import gen_window_pair
@@ -256,8 +257,76 @@ class TestCertificate:
         assert got == oracle_maximal_intervals(x.values, y.values, 0.8, 75)
         certified = [(a, b + l - 1) for (l, a, b), fired in calls if fired]
         assert certified and set(certified) <= set(got)
-        # settled long before the walk would reach the stretch's full length
-        assert max(l for (l, _, _), fired in calls if fired) < 300
+        # settled at its first offer, long before the walk would reach the
+        # stretch's full length
+        assert max(l for (l, _, _), fired in calls if fired) == p.l_min
+
+    def test_settles_a_stretch_whose_noise_level_changes_at_its_first_offer(self, monkeypatch):
+        # r 0.995 then 0.97: the whole run's line residual is large against
+        # the smallest window's Syy, but small window by window
+        calls = certificate_spy(monkeypatch)
+        x, y = gen_window_pair(1200, [(100, 599, 0.995), (600, 1099, 0.97)], seed=24)
+        x, y = x.values, y.values
+        p = IntervalParams(beta=0.8, l_min=75, shifts=(0,))
+        got = mined(x, y, p.beta, p.l_min)
+        assert got == oracle_level_walk(x, y, p.beta, p.l_min)
+        (l, a, b), fired = calls[0]
+        assert fired and l == p.l_min and (a, b + l - 1) in got
+        # the bound on the whole run, 1 - res_U / min Syy >= beta^2, refuses it
+        u = slice(a, b + l)
+        res_u = np.sum((y[u] - np.polyval(np.polyfit(x[u], y[u], 1), x[u])) ** 2)
+        syy = [np.var(y[t : t + l + 1]) * (l + 1) for t in range(a, b)]
+        assert 1 - res_u / min(syy) < p.beta**2
+
+    @pytest.mark.parametrize("hidden", ["l + 1 at the run's start", "2l + 1"])
+    def test_refuses_a_run_hiding_a_short_sub_beta_window(self, monkeypatch, hidden):
+        # At l_min = 2 every co-moving pair of frames is a valid window, so
+        # the whole series is one run at the first offer and only the
+        # certificate's own bound can refuse it. The exactly linear loud tail
+        # keeps every window reaching it correlated; the head hides one
+        # window under beta that no other start's bound covers.
+        calls = certificate_spy(monkeypatch)
+        tail = 3.0 * np.sin(1.3 * np.arange(30) + 0.5)
+        if hidden == "l + 1 at the run's start":
+            # [0, 2] is sub-beta; every later window holds the loud frame 3
+            x = np.r_[0.0, 1.0, 2.0, 10.0, tail]
+            y = np.r_[0.0, 1.5, 1.6, 10.0, tail]
+            beta, k = np.sqrt(0.85), 3
+        else:
+            # residuals of opposite sign at both ends of [0, 4], the loud
+            # frame 2 between them: each end alone keeps its windows correlated
+            x = np.r_[-0.01, 0.0, 1.0, 0.0, -0.3, tail]
+            y = x + np.sqrt(0.06) * np.r_[-1.0, 0.0, 0.0, 0.0, 1.0, np.zeros(30)]
+            beta, k = np.sqrt(0.9), 5
+        assert windows_corr(x, y, k)[0] < beta
+        assert all(windows_corr(x, y, m).min() >= beta for m in range(3, k))
+        got = mined(x, y, beta, 2)
+        assert got == oracle_level_walk(x, y, beta, 2)
+        assert calls[0] == ((2, 0, len(x) - 2), False)
+
+    def test_long_shaped_stretch_walks_few_levels(self, monkeypatch):
+        # one window of the benchmark's long workload: 4,500 frames of lag-4,
+        # strength-8 mimicry, mined over the default shift grid
+        spec = CouplingSpec(
+            direction="x_to_y", lag=4, strength=8.0, ar_coeff=0.0, noise_std=1.0,
+            active_intervals=IntervalSet((Interval(750, 5249),)), length=6000, seed=5,
+        )
+        x, y, _ = gen_coupled_pair(spec)
+        steps = []
+        real = intervals._window_stats
+
+        def counted(*args):
+            steps.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(intervals, "_window_stats", counted)
+        got = correlated_intervals(x.values, y.values, IntervalParams())
+        # 50 calls measured: the first level and the walk up to the
+        # certificate, which settles the matched shift's run at level 123
+        assert len(steps) <= 60
+        matched = [(iv.start, iv.end) for iv in got if iv.shift == 4]
+        assert max(b - a + 1 for a, b in matched) > 4400
+        assert matched == oracle_level_walk(x.values[:-4], y.values[4:], 0.8, 75)
 
     def test_refuses_a_run_hiding_a_longer_sub_beta_window(self, monkeypatch):
         # y = x plus a slow swing: every 30-frame window sees almost none of
@@ -272,7 +341,10 @@ class TestCertificate:
         assert level_runs(x, y, 0.8, 30)[30] == [(0, n - 30)]  # valid at l_min
         assert (windows_corr(x, y, 300) < 0.8).any()  # but not at 300 frames
         assert got == oracle_maximal_intervals(x, y, 0.8, 30)
-        assert calls and not any(fired for _, fired in calls)
+        # the whole run is refused at every offer; the walk splits it, and
+        # only a piece it would keep whole may be settled at once
+        assert [fired for (l, a, b), fired in calls if (a, b + l - 1) == (0, n - 1)] == [False] * 6
+        assert {(a, b + l - 1) for (l, a, b), fired in calls if fired} <= set(got)
 
     def test_flatness_floor_counts_the_whole_run(self, monkeypatch):
         # A square wave of period 64 after noise. The loud receiver sets the

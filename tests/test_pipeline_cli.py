@@ -724,8 +724,51 @@ class TestCLI:
             for expr in EXPRESSIONS
             if expr.available_in(AU_IDS)
         ]
-        got = [(span, value) for span, video_len, value in seen if video_len == 580]
-        assert got == [(600, v) for v in expected]
+        # one mask column per present frame
+        got = [(columns, value) for columns, video_len, value in seen if video_len == 580]
+        assert got == [(580, v) for v in expected]
+
+    def test_frame_index_jump_is_counted_over_present_frames(self, tmp_path, monkeypatch):
+        # a corrupted last frame index: the activation masks must not span the jump
+        manifest = make_demo_cohort(tmp_path / "c", n_pairs=1, length=600, seed=5)
+        jumped = tmp_path / "c" / "pair01_contempt_receiver.csv"
+        lines = jumped.read_text().splitlines()
+        lines[-1] = str(10**12) + lines[-1][lines[-1].index(",") :]
+        jumped.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", "--manifest", str(manifest)]) == 0
+
+        seen, last_frame = [], []
+        real_activation, real_count = pipeline.au_activation, pipeline.count_activations
+
+        def activation(rec, *args):
+            last_frame.append(int(rec.frame_indices[-1]))
+            return real_activation(rec, *args)
+
+        def count(mask, video_len):
+            value = real_count(mask, video_len)
+            seen.append((last_frame[-1], video_len, value))
+            return value
+
+        monkeypatch.setattr(pipeline, "au_activation", activation)
+        monkeypatch.setattr(pipeline, "count_activations", count)
+        assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "occurrence.csv").exists()
+
+        recs = [
+            parse_au_csv(tmp_path / "c" / f"pair01_{c}_receiver.csv")
+            for c in ("respectful", "contempt", "objective")
+        ]
+        assert recs[1].frame_indices[-1] == 10**12
+        pooled = np.concatenate([r.intensities for r in recs], axis=1)
+        thr = pooled.mean(axis=1) + 0.5 * pooled.std(axis=1, ddof=1)
+        expected = [
+            np.all(
+                [recs[1].intensities[AU_ROW[a]] >= thr[AU_ROW[a]] for a in expr.au_ids], axis=0
+            ).sum() / 600
+            for expr in EXPRESSIONS
+            if expr.available_in(AU_IDS)
+        ]
+        assert [(n, v) for last, n, v in seen if last == 10**12] == [(600, v) for v in expected]
 
     def test_ingest_and_pipeline_and_report(self, cohort, tmp_path, capsys):
         assert main(["ingest", "--manifest", str(cohort)]) == 0
