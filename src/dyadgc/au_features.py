@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSeries, EmptyOverlap, FormatError, ShapeError
 from .intervals import Interval, IntervalSet
-from .timeseries import STD_DDOF, runs
+from .timeseries import STD_DDOF
 
 #: the 17 AUs with intensity regression in OpenFace 2.0 output.
 AU_IDS: tuple[int, ...] = (1, 2, 4, 5, 6, 7, 9, 10, 12, 14, 15, 17, 20, 23, 25, 26, 45)
@@ -340,9 +340,9 @@ def confidence_sync(s: AURecording, r: AURecording, threshold: float = 0.89) -> 
     s_kept = s.restrict(si[keep])
     r_kept = r.restrict(ri[keep])
     kept = common[keep]
-    bits = np.zeros(kept[-1] - kept[0] + 1, dtype=bool)
-    bits[kept - kept[0]] = True
-    kept_runs = IntervalSet(tuple(Interval(a, b) for a, b in runs(bits, int(kept[0]))))
+    cut = np.flatnonzero(np.diff(kept) != 1)  # a run ends where the next kept frame is not the following one
+    bounds = zip(kept[np.r_[0, cut + 1]], kept[np.r_[cut, -1]])
+    kept_runs = IntervalSet(tuple(Interval(int(a), int(b)) for a, b in bounds))
     return SyncedPair(s_kept, r_kept, kept_runs)
 
 

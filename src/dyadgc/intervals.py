@@ -32,6 +32,7 @@ prefix sums, one first level for every shift, and a walk only for the shifts
 with a valid start. It reports sample indices into ``x``, tagged with the
 shift; from :func:`mine_shifted` on, intervals are closed absolute frame
 ranges, so results from different shifts, runs, and action units pool directly.
+:func:`segment_series` is the one place where frame intervals become samples.
 """
 
 from __future__ import annotations
@@ -154,14 +155,6 @@ class IntervalSet:
             except ValueError as exc:
                 raise ShapeError(f"line {ln}: {exc}") from exc
         return cls(tuple(out))
-
-
-def _require_aligned(x: TimeSeries, y: TimeSeries, caller: str) -> None:
-    if len(x) != len(y) or x.start_frame != y.start_frame:
-        raise ShapeError(
-            f"{caller} needs frame-aligned series of equal length: "
-            f"{len(x)} frames from {x.start_frame} vs {len(y)} from {y.start_frame}"
-        )
 
 
 def _window_stats(c, length: int, a: int, b: int):
@@ -398,7 +391,11 @@ def mine_shifted(x: TimeSeries, y: TimeSeries, p: IntervalParams) -> IntervalSet
     reported in unshifted ``x`` frame coordinates; shifts whose overlap with
     the partner is shorter than ``l_min`` contribute nothing.
     """
-    _require_aligned(x, y, "mine_shifted")
+    if len(x) != len(y) or x.start_frame != y.start_frame:
+        raise ShapeError(
+            f"mine_shifted needs frame-aligned series of equal length: "
+            f"{len(x)} frames from {x.start_frame} vs {len(y)} from {y.start_frame}"
+        )
     ivs = correlated_intervals(x.values, y.values, p)
     return longest_set(Interval(x.start_frame + iv.start, x.start_frame + iv.end, iv.shift) for iv in ivs)
 
@@ -432,36 +429,52 @@ def postprocess(s: IntervalSet, p: IntervalParams, series_len: int, start_frame:
     Short blips are removed by a majority filter of ``p.median_kernel``
     frames; each surviving interval then grows by ``p.extension`` frames per
     side, clipped to the series span. Overlaps created by the dilation are
-    merged.
+    merged. Only frames within half a kernel of a covered one can survive,
+    so each cluster of intervals (split at gaps over a kernel) is filtered
+    on its own window, padded by a kernel and clipped to the span: exact, and
+    no array spans the frame range.
     """
     if series_len <= 0:
         return IntervalSet()
-    filtered = median_filter(s.coverage_mask(series_len, start_frame), p.median_kernel)
-    last = start_frame + series_len - 1
-    merged: list[list[int]] = []
-    for a, b in runs(filtered, start_frame):
-        a = max(a - p.extension, start_frame)
-        b = min(b + p.extension, last)
-        if merged and a <= merged[-1][1] + 1:
-            merged[-1][1] = max(merged[-1][1], b)
+    k, last = p.median_kernel, start_frame + series_len - 1
+    if len(s) and not start_frame <= s.intervals[0].start <= s.intervals[-1].end <= last:
+        raise ShapeError(f"{s.intervals[0]} .. {s.intervals[-1]} outside span [{start_frame}, {last}]")
+    clusters: list[list[Interval]] = []
+    for iv in s:
+        if clusters and iv.start - clusters[-1][-1].end <= k:
+            clusters[-1].append(iv)
         else:
-            merged.append([a, b])
+            clusters.append([iv])
+    merged: list[list[int]] = []
+    for cluster in clusters:
+        lo, hi = max(cluster[0].start - k, start_frame), min(cluster[-1].end + k, last)
+        covered = IntervalSet(tuple(cluster)).coverage_mask(hi - lo + 1, lo)
+        for a, b in runs(median_filter(covered, k), lo):
+            a = max(a - p.extension, start_frame)
+            b = min(b + p.extension, last)
+            if merged and a <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], b)
+            else:
+                merged.append([a, b])
     return IntervalSet(tuple(Interval(a, b) for a, b in merged))
 
 
-def segment_series(x: TimeSeries, y: TimeSeries, s: IntervalSet) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The aligned ``(x, y)`` samples of every interval, as read-only views.
+def segment_series(frames, x: np.ndarray, y: np.ndarray, s: IntervalSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The aligned ``(x, y)`` samples of every interval, as views of ``x`` and ``y``.
 
-    Interval boundaries stay explicit (one pair per interval) so downstream
-    regressions can refuse to straddle them. An interval outside the series
-    span raises :class:`ShapeError`.
+    ``x`` and ``y`` are sampled at the strictly increasing frame index
+    ``frames``; each interval's slice is found by binary search. Interval
+    boundaries stay explicit (one pair per interval) so downstream
+    regressions can refuse to straddle them. Arrays of different lengths, or
+    an interval covering a frame that ``frames`` lacks, raise :class:`ShapeError`.
     """
-    _require_aligned(x, y, "segment_series")
-    first, last = x.start_frame, x.start_frame + len(x) - 1
+    if not len(frames) == len(x) == len(y):
+        raise ShapeError(f"segment_series needs aligned arrays, got {len(frames)}, {len(x)} and {len(y)}")
+    lo = np.searchsorted(frames, [iv.start for iv in s])
+    hi = np.searchsorted(frames, [iv.end for iv in s], side="right")
     out = []
-    for iv in s:
-        if iv.start < first or iv.end > last:
-            raise ShapeError(f"{iv} outside series span [{first}, {last}]")
-        lo, hi = iv.start - first, iv.end - first + 1
-        out.append((x.values[lo:hi], y.values[lo:hi]))
+    for iv, a, b in zip(s, lo, hi):
+        if b - a != iv.length:  # a strictly increasing index holds all of [start, end] only then
+            raise ShapeError(f"{iv} covers frames the frame index lacks")
+        out.append((x[a:b], y[a:b]))
     return out

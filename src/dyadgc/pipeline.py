@@ -104,18 +104,17 @@ class Manifest:
     rows: tuple[ManifestRow, ...]
 
     def __post_init__(self):
-        seen = set()
+        roles: dict[tuple[str, str], set[str]] = {}  # in manifest order, so errors are too
         for row in self.rows:
             if row.role not in ROLES:
                 raise FormatError(f"manifest: unknown role {row.role!r}")
             if row.condition not in CONDITIONS:
                 raise FormatError(f"manifest: unknown condition {row.condition!r}")
-            key = (row.pair_id, row.role, row.condition)
-            if key in seen:
-                raise FormatError(f"manifest: duplicate entry {key}")
-            seen.add(key)
-        for pair_id, condition in {(r.pair_id, r.condition) for r in self.rows}:
-            present = {r.role for r in self.rows if (r.pair_id, r.condition) == (pair_id, condition)}
+            present = roles.setdefault((row.pair_id, row.condition), set())
+            if row.role in present:
+                raise FormatError(f"manifest: duplicate entry {(row.pair_id, row.role, row.condition)}")
+            present.add(row.role)
+        for (pair_id, condition), present in roles.items():
             if present != set(ROLES):
                 raise FormatError(
                     f"manifest: pair {pair_id!r} condition {condition!r} needs both roles"
@@ -243,37 +242,29 @@ class PipelineResult:
 # per-cell analysis
 
 
-def _kept_run_signals(pair: SyncedPair, s_vals: np.ndarray, r_vals: np.ndarray):
-    """Standardized sender/receiver signal per kept run.
+def _kept_run_signals(s_vals: np.ndarray, r_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sender and receiver signal standardized over all kept samples.
 
-    ``s_vals``/``r_vals`` align with the synced frame indices. Standardization
-    uses the mean/std over all kept samples, then the series is cut at the
-    confidence gaps, so every run is a contiguous TimeSeries in absolute frame
-    coordinates; the tests work on array views of these runs. Fewer than two
-    kept samples cannot be standardized and give no run, so every test on them
-    reports ``insufficient``.
+    ``s_vals``/``r_vals`` align with the synced frame indices, and
+    :func:`segment_series` cuts the kept runs and every selection from them.
+    Fewer than two kept samples cannot be standardized and are returned as
+    they are: no run is long enough to mine, and every test on them reports
+    ``insufficient``.
     """
     if len(s_vals) < 2:
-        return []
-    s_vals, r_vals = standardize(s_vals), standardize(r_vals)
-    frames = pair.sender.frame_indices
-    runs = []
-    for iv in pair.kept_frames:
-        sel = (frames >= iv.start) & (frames <= iv.end)
-        runs.append((TimeSeries(s_vals[sel], iv.start), TimeSeries(r_vals[sel], iv.start)))
-    return runs
+        return s_vals, r_vals
+    return standardize(s_vals), standardize(r_vals)
 
 
-def _mine_au(runs, params, span: tuple[int, int]) -> IntervalSet:
+def _mine_au(pair: SyncedPair, s: np.ndarray, r: np.ndarray, params) -> IntervalSet:
     """One AU's selection: mine every kept run over the shift grid, then postprocess."""
-    start, end = span
+    frames = pair.sender.frame_indices
     candidates: list[Interval] = []
-    for xs, ys in runs:
-        if len(xs) < params.l_min:
-            continue
-        candidates.extend(mine_shifted(xs, ys, params))
+    for iv, (xs, ys) in zip(pair.kept_frames, segment_series(frames, s, r, pair.kept_frames)):
+        if len(xs) >= params.l_min:
+            candidates.extend(mine_shifted(TimeSeries(xs, iv.start), TimeSeries(ys, iv.start), params))
     mined = longest_set(candidates)  # runs are disjoint; this just re-sorts
-    return postprocess(mined, params, end - start + 1, start)
+    return postprocess(mined, params, int(frames[-1] - frames[0]) + 1, int(frames[0]))
 
 
 def _run_gc(segments, config: AnalysisConfig) -> tuple[str, GCTestResult | None]:
@@ -310,20 +301,17 @@ def _run_gc(segments, config: AnalysisConfig) -> tuple[str, GCTestResult | None]
         return "insufficient", None
 
 
-def _test_selected(runs, selection: IntervalSet, config: AnalysisConfig):
-    """Interval-selected (status, result) for one sender/receiver signal.
+def _test_selected(pair: SyncedPair, s, r, selection: IntervalSet, config: AnalysisConfig):
+    """Interval-selected (status, result) for one standardized sender/receiver signal.
 
-    The selection is clipped to each kept run, so a confidence gap always
+    The selection is clipped to the kept runs, so a confidence gap always
     splits a selected interval. With ``pair.kept_frames`` as the selection
     this is the full-span test.
     """
     if len(selection) == 0:
         return "no_intervals", None
-    segments = []
-    for xs, ys in runs:
-        run = IntervalSet((Interval(xs.start_frame, xs.start_frame + len(xs) - 1),))
-        segments += segment_series(xs, ys, intersect_sets([selection, run]))
-    return _run_gc(segments, config)
+    cut = intersect_sets([selection, pair.kept_frames])
+    return _run_gc(segment_series(pair.sender.frame_indices, s, r, cut), config)
 
 
 def _majority(outcomes: list[Direction]) -> Direction:
@@ -369,17 +357,16 @@ def _mine(pair: SyncedPair, config: AnalysisConfig, with_tests: bool):
     """
     exprs = [e for e in _expressions(config) if e.available_in(AU_IDS)]
     params = config.interval_params()
-    span = (int(pair.sender.frame_indices[0]), int(pair.sender.frame_indices[-1]))
     mined: dict[int, IntervalSet] = {}
     au_tests: dict[int, tuple] = {}
     for au in sorted({au for e in exprs for au in e.au_ids}):
         row = AU_ROW[au]
-        runs = _kept_run_signals(pair, pair.sender.intensities[row], pair.receiver.intensities[row])
-        mined[au] = _mine_au(runs, params, span)
+        s, r = _kept_run_signals(pair.sender.intensities[row], pair.receiver.intensities[row])
+        mined[au] = _mine_au(pair, s, r, params)
         if with_tests:
             au_tests[au] = (
-                _test_selected(runs, pair.kept_frames, config),
-                _test_selected(runs, mined[au], config),
+                _test_selected(pair, s, r, pair.kept_frames, config),
+                _test_selected(pair, s, r, mined[au], config),
             )
     selections = {e.name: intersect_sets([mined[au] for au in sorted(e.au_ids)]) for e in exprs}
     return selections, au_tests
@@ -435,11 +422,11 @@ def analyze_pair_condition(
             full_result = sel_result = None
             note = f"per_au majority over {n_full} full / {n_sel} selected AU tests"
         else:
-            runs = _kept_run_signals(
-                pair, expression_signal(pair.sender, expr), expression_signal(pair.receiver, expr)
+            s, r = _kept_run_signals(
+                expression_signal(pair.sender, expr), expression_signal(pair.receiver, expr)
             )
-            full_status, full_result = _test_selected(runs, pair.kept_frames, config)
-            sel_status, sel_result = _test_selected(runs, selection, config)
+            full_status, full_result = _test_selected(pair, s, r, pair.kept_frames, config)
+            sel_status, sel_result = _test_selected(pair, s, r, selection, config)
             full_outcome = None if full_result is None else full_result.outcome
             sel_outcome = None if sel_result is None else sel_result.outcome
         cells.append(

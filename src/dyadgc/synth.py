@@ -76,9 +76,7 @@ def gen_coupled_pair(spec: CouplingSpec) -> tuple[TimeSeries, TimeSeries, Coupli
     n = spec.length
     wx = rng.normal(0.0, spec.noise_std, n)
     wy = rng.normal(0.0, spec.noise_std, n)
-    active = np.zeros(n, dtype=bool)
-    for iv in spec.active_intervals:
-        active[iv.start : iv.end + 1] = True
+    active = spec.active_intervals.coverage_mask(n)
     x = np.zeros(n)
     y = np.zeros(n)
     a, c, lag = spec.ar_coeff, spec.strength, spec.lag
@@ -183,9 +181,7 @@ def gen_au_fixture(
         if not expr.available_in(AU_IDS):
             raise ConfigError(f"{name}: member AUs are not all recordable")
         x, y, spec = gen_coupled_pair(spec)
-        active = np.zeros(n, dtype=bool)
-        for iv in spec.active_intervals:
-            active[iv.start : iv.end + 1] = True
+        active = spec.active_intervals.coverage_mask(n)
         env = active.astype(float)
         if onset > 0:
             win = np.hanning(2 * onset + 1)

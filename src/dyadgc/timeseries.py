@@ -1,10 +1,13 @@
-"""The frame-anchored signal run, standardization, run finding and the mask filter.
+"""The miner's frame-anchored run, standardization, run finding and the mask filter.
 
 Conventions used package-wide:
 
 * signals are uniformly sampled (25 fps; the rate is not stored) plain 1-D
-  arrays, and masks plain bool arrays; where frames matter, a run is a
-  :class:`TimeSeries` anchored to an absolute frame via ``start_frame``;
+  arrays aligned with a frame index, and masks plain bool arrays;
+  :func:`dyadgc.intervals.segment_series` is the one place where frame
+  intervals become samples, and a :class:`TimeSeries`, anchored to an
+  absolute frame via ``start_frame``, is only the input of
+  :func:`dyadgc.intervals.mine_shifted`;
 * descriptive statistics use the sample convention (``ddof=1``, see
   :data:`STD_DDOF`); :func:`standardize` is the documented exception and
   divides by the population standard deviation, so a standardized series has

@@ -189,6 +189,27 @@ def oracle_majority_filter(bits, kernel):
     return out
 
 
+def oracle_postprocess(s, p, series_len, start_frame=0):
+    """``postprocess`` on the coverage mask of the whole span, as (start, end) pairs."""
+    bits = oracle_majority_filter(s.coverage_mask(series_len, start_frame), p.median_kernel)
+    merged = []
+    i = 0
+    while i < series_len:
+        if not bits[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < series_len and bits[j + 1]:
+            j += 1
+        a, b = max(0, i - p.extension), min(series_len - 1, j + p.extension)
+        if merged and a <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+        i = j + 1
+    return [(a + start_frame, b + start_frame) for a, b in merged]
+
+
 def oracle_wilcoxon_p(diffs) -> float:
     """Exact two-sided signed-rank p by enumerating all 2^n sign patterns."""
     d = np.asarray(diffs, dtype=float)

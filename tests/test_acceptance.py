@@ -177,7 +177,7 @@ def test_criterion_5_interval_selection_beats_full_span():
         sel = postprocess(mine_shifted(xs, ys, params), params, len(xs), 0)
         if not len(sel):
             continue
-        segs = segment_series(xs, ys, sel)
+        segs = segment_series(np.arange(len(xs)), xs.values, ys.values, sel)
         segs_x = [sx - sx.mean() for sx, _ in segs]
         segs_y = [sy - sy.mean() for _, sy in segs]
         r = _select_and_test(segs_x, segs_y)

@@ -1,5 +1,7 @@
 import csv
+import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +406,34 @@ class TestConfidenceSync:
         r = make_recording(10, pid="p1r", role="receiver")
         pair = confidence_sync(s, r)
         assert [(iv.start, iv.end) for iv in pair.kept_frames] == [(1, 3), (6, 10)]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kept_runs_are_the_runs_of_the_kept_frames(self, seed):
+        rng = np.random.default_rng(seed)
+        frames = np.cumsum(rng.integers(1, 4, size=60))  # gaps of 0-2 missing frames
+        s, r = (
+            replace(make_recording(60, role=role, confidence=rng.random(60) + 0.5), frame_indices=frames)
+            for role in ("sender", "receiver")
+        )
+        pair = confidence_sync(s, r, 0.89)
+        bits = np.zeros(frames[-1] + 1, dtype=bool)
+        bits[pair.sender.frame_indices] = True
+        assert [(iv.start, iv.end) for iv in pair.kept_frames] == runs(bits)
+
+    def test_shared_frame_jump_allocates_nothing_over_the_span(self):
+        # both recordings end on frame 10^12: the runs come from the kept frames alone
+        n = 600
+        frames = np.arange(1, n + 1)
+        frames[-1] = 10**12
+        s, r = (replace(make_recording(n, role=role), frame_indices=frames) for role in ("sender", "receiver"))
+        tracemalloc.start()
+        try:
+            pair = confidence_sync(s, r, 0.89)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(iv.start, iv.end) for iv in pair.kept_frames] == [(1, n - 1), (10**12, 10**12)]
+        assert peak < 1_000_000  # the restricted recordings and their index arrays: about 0.3 MB
 
 
 class TestBaseline:

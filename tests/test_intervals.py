@@ -23,16 +23,32 @@ from generators import gen_window_pair
 from oracles import (
     oracle_level_walk,
     oracle_longest_set,
-    oracle_majority_filter,
     oracle_maximal_intervals,
     oracle_maximal_intervals_tiny,
     oracle_pearson,
+    oracle_postprocess,
     windows_corr,
 )
 
 
 def ts(values, start=0):
     return TimeSeries(np.asarray(values, dtype=float), start)
+
+
+@st.composite
+def interval_layouts(draw, sizes=st.integers(0, 120)):
+    """A span length and sorted, disjoint (possibly adjacent) intervals inside it.
+
+    Gaps are drawn from ``sizes`` and lengths from ``sizes`` plus one.
+    """
+    n = draw(st.integers(1, 400))
+    ivs, cursor = [], draw(st.integers(0, 60))
+    for gap, length in draw(st.lists(st.tuples(sizes, sizes.map(lambda v: v + 1)), max_size=8)):
+        if cursor + length > n:
+            break
+        ivs.append(Interval(cursor, cursor + length - 1))
+        cursor += length + gap
+    return n, IntervalSet(tuple(ivs))
 
 
 def correlated_pair(rng, n, rho=0.85):
@@ -650,56 +666,111 @@ class TestPostprocess:
         s = IntervalSet(tuple(ivs))
         p = IntervalParams(median_kernel=21, extension=5)
         out = postprocess(s, p, 1000, 0)
-        bits = oracle_majority_filter(s.coverage_mask(1000, 0), 21)
-        # dilate + merge on the oracle side
-        runs = []
-        i = 0
-        while i < 1000:
-            if bits[i]:
-                j = i
-                while j + 1 < 1000 and bits[j + 1]:
-                    j += 1
-                runs.append((max(0, i - 5), min(999, j + 5)))
-                i = j + 1
-            else:
-                i += 1
-        merged = []
-        for a, b in runs:
-            if merged and a <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        assert [(iv.start, iv.end) for iv in out] == [(a, b) for a, b in merged]
+        assert [(iv.start, iv.end) for iv in out] == oracle_postprocess(s, p, 1000, 0)
+
+    @given(
+        data=st.data(),
+        half=st.integers(0, 30),
+        extension=st.integers(0, 30),
+        start=st.sampled_from((0, 7, 10**12)),
+    )
+    @settings(max_examples=300)
+    def test_equals_the_span_wide_filter_across_a_huge_gap(self, data, half, extension, start):
+        """Cluster windows give the span-wide result, also with 10^12 frames between two layouts.
+
+        Gaps and lengths are drawn near the kernel half as often as not, where
+        a window that splits or pads too little goes wrong. The span-wide
+        oracle cannot hold a 10^12-frame mask, so it runs on the same layout
+        with the gap shrunk to one that still keeps both halves out of each
+        other's reach (a filtered frame lies within ``half`` of a covered one,
+        and dilation adds ``extension``); only the right half's outputs move,
+        by the removed frames.
+        """
+        sizes = st.one_of(st.integers(0, 120), st.integers(max(0, half - 3), 2 * half + 3))
+        (n_left, s_left), (n_right, s_right) = (data.draw(interval_layouts(sizes)) for _ in range(2))
+        p = IntervalParams(median_kernel=2 * half + 1, extension=extension)
+        near = n_left + 4 * half + 2 * extension + 4
+        far = 10**12
+
+        def joined(gap):
+            moved = tuple(Interval(start + gap + iv.start, start + gap + iv.end) for iv in s_right)
+            ivs = tuple(Interval(start + iv.start, start + iv.end) for iv in s_left) + moved
+            return IntervalSet(ivs), gap + n_right
+
+        compact, n_compact = joined(near)
+        expected = oracle_postprocess(compact, p, n_compact, start)
+        assert [(iv.start, iv.end) for iv in postprocess(compact, p, n_compact, start)] == expected
+        reach = start + near - half - extension  # every right-half output starts at or after it
+        expected = [(a, b) if a < reach else (a + far - near, b + far - near) for a, b in expected]
+        spread, n_spread = joined(far)
+        assert [(iv.start, iv.end) for iv in postprocess(spread, p, n_spread, start)] == expected
+
+    def test_a_gap_frame_between_two_intervals_can_hold_a_majority(self):
+        # kernel 3: frame 11 sees covered frames 10 and 12, one from each interval
+        s, p = IntervalSet((Interval(5, 10), Interval(12, 20))), IntervalParams(median_kernel=3, extension=0)
+        assert [(iv.start, iv.end) for iv in postprocess(s, p, 30, 0)] == [(5, 20)]
+        assert oracle_postprocess(s, p, 30, 0) == [(5, 20)]
+
+    def test_interval_outside_the_span_raises(self):
+        p = IntervalParams(median_kernel=5, extension=0)
+        for iv in (Interval(10, 30), Interval(-3, 4), Interval(10**12, 10**12 + 5)):
+            with pytest.raises(ShapeError, match="outside span"):
+                postprocess(IntervalSet((iv,)), p, 20, 0)
 
 
 class TestSegmentSeries:
     def test_full_span_single_segment(self):
         rng = np.random.default_rng(11)
-        x = ts(rng.normal(size=100))
-        y = ts(rng.normal(size=100))
-        segs = segment_series(x, y, IntervalSet((Interval(0, 99),)))
+        x, y = rng.normal(size=100), rng.normal(size=100)
+        segs = segment_series(np.arange(100), x, y, IntervalSet((Interval(0, 99),)))
         assert len(segs) == 1
-        np.testing.assert_array_equal(segs[0][0], x.values)
-        np.testing.assert_array_equal(segs[0][1], y.values)
-        assert not segs[0][0].flags.writeable
+        np.testing.assert_array_equal(segs[0][0], x)
+        np.testing.assert_array_equal(segs[0][1], y)
+
+    def test_segments_are_views(self):
+        x, y = np.arange(50.0), np.arange(50.0) * 2
+        segs = segment_series(np.arange(50), x, y, IntervalSet((Interval(3, 9), Interval(20, 29))))
+        for sx, sy in segs:
+            assert sx.base is x and sy.base is y
 
     def test_offsets_recorded(self):
-        x = ts(np.arange(50, dtype=float), start=10)
-        y = ts(np.arange(50, dtype=float) * 2, start=10)
-        segs = segment_series(x, y, IntervalSet((Interval(15, 24), Interval(40, 49))))
+        frames = np.arange(10, 60)
+        x, y = np.arange(50, dtype=float), np.arange(50, dtype=float) * 2
+        segs = segment_series(frames, x, y, IntervalSet((Interval(15, 24), Interval(40, 49))))
         # frame f sits at sample f - 10, whose value is f - 10 in x and twice that in y
         assert [(sx[0], sy[0]) for sx, sy in segs] == [(5.0, 10.0), (30.0, 60.0)]
         assert [len(s[0]) for s in segs] == [10, 10]
 
+    def test_slices_by_the_frame_index_across_gaps(self):
+        # frames 1-5, 9-10 and a jump to 10^12: samples are counted over present frames
+        frames = np.array([1, 2, 3, 4, 5, 9, 10, 10**12])
+        x = np.arange(8.0)
+        s = IntervalSet((Interval(2, 4), Interval(9, 10), Interval(10**12, 10**12)))
+        segs = segment_series(frames, x, -x, s)
+        assert [sx.tolist() for sx, _ in segs] == [[1.0, 2.0, 3.0], [5.0, 6.0], [7.0]]
+        assert all(np.array_equal(sy, -sx) for sx, sy in segs)
+
     def test_coverage_matches_mask(self):
         rng = np.random.default_rng(12)
-        x = ts(rng.normal(size=200))
-        y = ts(rng.normal(size=200))
+        x, y = rng.normal(size=200), rng.normal(size=200)
         s = IntervalSet((Interval(3, 30), Interval(77, 150), Interval(190, 199)))
-        segs = segment_series(x, y, s)
+        segs = segment_series(np.arange(200), x, y, s)
         assert sum(len(sx) for sx, _ in segs) == s.coverage_mask(200, 0).sum()
 
     def test_out_of_bounds(self):
-        x = ts(np.zeros(50))
+        x = np.zeros(50)
         with pytest.raises(ShapeError):
-            segment_series(x, x, IntervalSet((Interval(40, 60),)))
+            segment_series(np.arange(50), x, x, IntervalSet((Interval(40, 60),)))
+
+    @pytest.mark.parametrize("iv", [Interval(4, 9), Interval(5, 6), Interval(0, 1), Interval(11, 11)])
+    def test_a_missing_frame_raises(self, iv):
+        frames = np.array([1, 2, 3, 4, 7, 8, 9, 10])  # 5 and 6 missing, nothing before 1 or after 10
+        x = np.zeros(8)
+        with pytest.raises(ShapeError, match="lacks"):
+            segment_series(frames, x, x, IntervalSet((iv,)))
+
+    @pytest.mark.parametrize("lengths", [(10, 9, 10), (10, 10, 11), (9, 10, 10)])
+    def test_misaligned_arrays_raise(self, lengths):
+        frames, x, y = (np.arange(n) for n in lengths)
+        with pytest.raises(ShapeError, match="aligned"):
+            segment_series(frames, x.astype(float), y.astype(float), IntervalSet((Interval(0, 5),)))

@@ -1,9 +1,15 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dyadgc
 from dyadgc import cli, pipeline
 from dyadgc.au_features import AU_IDS, AU_ROW, EXPRESSIONS, AURecording, parse_au_csv, write_au_csv
 from dyadgc.cli import main
@@ -49,6 +55,13 @@ def _manifest_of_missing_files(tmp_path):
 def small_cohort(tmp_path_factory):
     """One pair of 600 frames: the cohort the CLI stage checks run on."""
     return make_demo_cohort(tmp_path_factory.mktemp("small"), n_pairs=1, length=600, seed=5)
+
+
+def _rewrite_frames(path, new_frame):
+    """Replace each data row's frame index ``f`` of a recording CSV by ``new_frame(f)``."""
+    header, *rows = path.read_text().splitlines()
+    rows = [str(new_frame(int(r[: r.index(",")]))) + r[r.index(",") :] for r in rows]
+    path.write_text("\n".join([header] + rows) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +232,22 @@ class TestManifest:
         p.write_text("pair_id,role,condition,path\na,sender,contempt,x.csv\n")
         with pytest.raises(FormatError):
             Manifest.load(p)
+
+    def test_missing_role_is_named_in_manifest_order(self, tmp_path):
+        # the first incomplete (pair, condition) is named, whatever the hash seed
+        p = tmp_path / "m.csv"
+        rows = "".join(f"p{i},sender,contempt,p{i}.csv\n" for i in range(5))
+        p.write_text("pair_id,role,condition,path\n" + rows)
+        code = (
+            "import sys\nfrom dyadgc.pipeline import Manifest\n"
+            "try:\n    Manifest.load(sys.argv[1])\nexcept Exception as exc:\n    print(exc)\n"
+        )
+        src = str(Path(dyadgc.__file__).resolve().parents[1])
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code, str(p)], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.stdout.strip() == "manifest: pair 'p0' condition 'contempt' needs both roles"
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -769,6 +798,52 @@ class TestCLI:
             if expr.available_in(AU_IDS)
         ]
         assert [(n, v) for last, n, v in seen if last == 10**12] == [(600, v) for v in expected]
+
+    def test_shared_frame_index_jump_runs_every_stage(self, small_cohort, tmp_path):
+        # both recordings of a pair end on frame 10^12: no stage may span the frame range
+        jump = tmp_path / "jump"
+        shutil.copytree(small_cohort.parent, jump)
+        for role in ("sender", "receiver"):
+            _rewrite_frames(jump / f"pair01_contempt_{role}.csv", lambda f: 10**12 if f == 600 else f)
+        manifest = ["--manifest", str(jump / "manifest.csv")]
+        assert main(["pipeline", "--out", str(tmp_path / "run")] + manifest) == 0
+        assert main(["intervals", "--out", str(tmp_path / "iv")] + manifest) == 0
+        written = ["--intervals-dir", str(tmp_path / "run" / "intervals")]
+        assert main(["granger", "--out", str(tmp_path / "gc")] + manifest + written) == 0
+        results = (tmp_path / "run" / "results.jsonl").read_text()
+        assert (tmp_path / "gc" / "results.jsonl").read_text() == results
+        kept = {json.loads(ln)["kept_frames"] for ln in results.splitlines() if '"contempt"' in ln}
+        assert kept == {600 - 3}  # every frame still kept, less the three low-confidence ones
+
+    def test_shifting_every_frame_index_shifts_only_the_intervals(self, small_cohort, tmp_path):
+        shifted = tmp_path / "shifted"
+        shutil.copytree(small_cohort.parent, shifted)
+        for path in shifted.glob("*.csv"):
+            if path.name != "manifest.csv":
+                _rewrite_frames(path, lambda f: f + 10**9)
+        runs = {}
+        for name, cohort_dir in (("plain", small_cohort.parent), ("shifted", shifted)):
+            runs[name] = tmp_path / name
+            argv = ["pipeline", "--manifest", str(cohort_dir / "manifest.csv"), "--out", str(runs[name])]
+            assert main(argv) == 0
+        plain, moved = runs["plain"], runs["shifted"]
+        assert (moved / "report.json").read_bytes() == (plain / "report.json").read_bytes()
+
+        def shift(ivs):
+            return [[a + 10**9, b + 10**9, s] for a, b, s in ivs]
+
+        records = [json.loads(ln) for ln in (plain / "results.jsonl").read_text().splitlines()]
+        assert any(rec["intervals"] for rec in records)
+        want = [dict(rec, intervals=shift(rec["intervals"])) for rec in records]
+        assert [json.loads(ln) for ln in (moved / "results.jsonl").read_text().splitlines()] == want
+        tsvs = sorted(p.name for p in (plain / "intervals").iterdir())
+        assert tsvs == sorted(p.name for p in (moved / "intervals").iterdir())
+        for name in tsvs:
+            ivs = IntervalSet.from_tsv((plain / "intervals" / name).read_text())
+            got = IntervalSet.from_tsv((moved / "intervals" / name).read_text())
+            assert [[iv.start, iv.end, iv.shift] for iv in got] == shift(
+                [iv.start, iv.end, iv.shift] for iv in ivs
+            )
 
     def test_ingest_and_pipeline_and_report(self, cohort, tmp_path, capsys):
         assert main(["ingest", "--manifest", str(cohort)]) == 0
