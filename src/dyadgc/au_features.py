@@ -2,7 +2,10 @@
 
 Recordings are per-frame AU intensity traces (0-5 scale) with a per-frame
 tracker confidence, one file per participant per condition, in the column
-layout produced by OpenFace 2.0 (``frame``, ``confidence``, ``AUxx_r``).
+layout produced by OpenFace 2.0 (``frame``, ``confidence``, ``AUxx_r``). A
+recording is just its arrays: the manifest key ``(pair_id, role, condition)``
+it is filed under is its identity. Confidence sync turns a sender/receiver
+pair into one frame index and two intensity matrices.
 
 From a recording we derive:
 
@@ -59,9 +62,6 @@ class AURecording:
     AU ``AU_IDS[i]`` (see :data:`AU_ROW`).
     """
 
-    participant_id: str
-    condition: str
-    role: str
     frame_indices: np.ndarray
     confidence: np.ndarray
     intensities: np.ndarray
@@ -77,10 +77,6 @@ class AURecording:
             raise ShapeError(f"intensities must be a {len(AU_IDS)} x n_frames matrix")
         if len(frames) and np.any(np.diff(frames) <= 0):
             raise ShapeError("frame indices must be strictly increasing")
-        if self.condition and self.condition not in CONDITIONS:
-            raise ConfigError(f"unknown condition {self.condition!r}")
-        if self.role and self.role not in ROLES:
-            raise ConfigError(f"unknown role {self.role!r}")
         # clipping would keep a NaN and turn an Inf into a bound, so refuse both first
         if not (np.isfinite(conf).all() and np.isfinite(intens).all()):
             raise ShapeError("confidence and intensities must be finite")
@@ -96,23 +92,11 @@ class AURecording:
     def n_frames(self) -> int:
         return len(self.frame_indices)
 
-    def restrict(self, keep: np.ndarray) -> "AURecording":
-        """Recording limited to the frames selected by a boolean or index array."""
-        return AURecording(
-            self.participant_id,
-            self.condition,
-            self.role,
-            self.frame_indices[keep],
-            self.confidence[keep],
-            self.intensities[:, keep],
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class AUBaseline:
     """Per-AU mean/std (in :data:`AU_IDS` order) for one participant, pooled over conditions."""
 
-    participant_id: str
     mean: np.ndarray
     std: np.ndarray
     n_conditions: int
@@ -161,25 +145,21 @@ EXPRESSIONS: tuple[ExpressionDef, ...] = (
 EXPRESSIONS_BY_NAME: Mapping[str, ExpressionDef] = {e.name: e for e in EXPRESSIONS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyncedPair:
-    """Sender and receiver recordings restricted to their shared usable frames."""
+    """Sender and receiver intensities on their shared usable frames.
 
-    sender: AURecording
-    receiver: AURecording
+    ``sender`` and ``receiver`` are (17, n) :data:`AU_ROW`-ordered matrices with one
+    column per frame of the synced frame index ``frames``; ``kept_frames`` holds its runs.
+    """
+
+    frames: np.ndarray
+    sender: np.ndarray
+    receiver: np.ndarray
     kept_frames: IntervalSet
 
-    def __post_init__(self):
-        if not np.array_equal(self.sender.frame_indices, self.receiver.frame_indices):
-            raise ShapeError("synced recordings must share identical frame sets")
 
-
-def parse_au_csv(
-    path,
-    participant_id: str = "",
-    condition: str = "",
-    role: str = "",
-) -> AURecording:
+def parse_au_csv(path) -> AURecording:
     """Parse one OpenFace-style CSV into a recording.
 
     Required columns (whitespace around header names is tolerated): ``frame``,
@@ -201,12 +181,12 @@ def parse_au_csv(
             table = _load_table(fh, str(path))
             if table is None:
                 fh.seek(0)  # resets the decoder, which skips the byte-order mark again
-                return _parse_au_stream(fh, str(path), participant_id, condition, role)
+                return _parse_au_stream(fh, str(path))
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    return _recording(table, str(path), participant_id, condition, role)
+    return _recording(table, str(path))
 
 
 def _column_indices(reader, source: str) -> list[int]:
@@ -266,7 +246,7 @@ def _unusable(table: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _parse_au_stream(fh, source: str, participant_id, condition, role) -> AURecording:
+def _parse_au_stream(fh, source: str) -> AURecording:
     """Row-by-row parser: the reference for :func:`parse_au_csv` and the owner of its errors."""
     reader = csv.reader(fh)
     pick = operator.itemgetter(*_column_indices(reader, source))
@@ -292,19 +272,12 @@ def _parse_au_stream(fh, source: str, participant_id, condition, role) -> AUReco
         raise FormatError(
             f"{source}: bad value in row {row_no}: {_COLUMNS[col]} is {float(table[k, col])}"
         )
-    return _recording(table, source, participant_id, condition, role)
+    return _recording(table, source)
 
 
-def _recording(table: np.ndarray, source: str, participant_id, condition, role) -> AURecording:
+def _recording(table: np.ndarray, source: str) -> AURecording:
     try:
-        return AURecording(
-            participant_id,
-            condition,
-            role,
-            table[:, 0].astype(np.int64),
-            table[:, 1],
-            table[:, 2:].T,
-        )
+        return AURecording(table[:, 0].astype(np.int64), table[:, 1], table[:, 2:].T)
     except ShapeError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 
@@ -323,50 +296,43 @@ def write_au_csv(path, rec: AURecording) -> None:
 def confidence_sync(s: AURecording, r: AURecording, threshold: float = 0.89) -> SyncedPair:
     """Drop every frame where either participant's confidence falls below threshold.
 
-    Both recordings are restricted to the identical surviving frame set;
-    ``kept_frames`` records the surviving runs, whose gaps act as hard
-    boundaries for all downstream windowed analysis.
+    Both intensity matrices are cut once to the surviving frames, which
+    ``frames`` lists; ``kept_frames`` records the surviving runs, whose gaps
+    act as hard boundaries for all downstream windowed analysis.
     """
     common, si, ri = np.intersect1d(
         s.frame_indices, r.frame_indices, assume_unique=True, return_indices=True
     )
     if common.size == 0:
-        raise EmptyOverlap(
-            f"{s.participant_id} and {r.participant_id} share no common frames"
-        )
+        raise EmptyOverlap("sender and receiver share no common frames")
     keep = (s.confidence[si] >= threshold) & (r.confidence[ri] >= threshold)
     if not keep.any():
         raise EmptyOverlap("no frame passes the confidence threshold on both sides")
-    s_kept = s.restrict(si[keep])
-    r_kept = r.restrict(ri[keep])
     kept = common[keep]
     cut = np.flatnonzero(np.diff(kept) != 1)  # a run ends where the next kept frame is not the following one
     bounds = zip(kept[np.r_[0, cut + 1]], kept[np.r_[cut, -1]])
     kept_runs = IntervalSet(tuple(Interval(int(a), int(b)) for a, b in bounds))
-    return SyncedPair(s_kept, r_kept, kept_runs)
+    # take, unlike a fancy index on axis 1, keeps each AU row contiguous
+    s_cut, r_cut = s.intensities.take(si[keep], axis=1), r.intensities.take(ri[keep], axis=1)
+    return SyncedPair(kept, s_cut, r_cut, kept_runs)
 
 
 def baseline_stats(recordings: Iterable[AURecording]) -> AUBaseline:
     """Per-AU mean and std pooled over all frames of all provided conditions.
 
-    Meant to receive all three conditions of one participant; fewer are
-    accepted (flagged via ``n_conditions``) so a missing file degrades
-    gracefully.
+    Meant to receive one recording per condition of one participant, all
+    three; fewer are accepted (flagged via ``n_conditions``, the number of
+    recordings) so a missing file degrades gracefully.
     """
     recs = list(recordings)
     if not recs or sum(r.n_frames for r in recs) == 0:
         raise DegenerateSeries("baseline needs at least one frame")
-    pid = recs[0].participant_id
-    if any(rec.participant_id != pid for rec in recs[1:]):
-        raise ConfigError("baseline must pool conditions of a single participant")
     pooled = np.concatenate([rec.intensities for rec in recs], axis=1)
     if pooled.shape[1] > 1:
         std = pooled.std(axis=1, ddof=STD_DDOF)
     else:
         std = np.zeros(len(AU_IDS))
-    return AUBaseline(
-        pid, pooled.mean(axis=1), std, n_conditions=len({r.condition for r in recs})
-    )
+    return AUBaseline(pooled.mean(axis=1), std, n_conditions=len(recs))
 
 
 def au_activation(rec: AURecording, base: AUBaseline, factor: float = 0.5) -> np.ndarray:
@@ -379,24 +345,27 @@ def au_activation(rec: AURecording, base: AUBaseline, factor: float = 0.5) -> np
     return rec.intensities >= (base.mean + factor * base.std)[:, None]
 
 
-def expression_activation(active: np.ndarray, expr: ExpressionDef) -> np.ndarray:
-    """Frame-wise AND over the expression's member AU rows of :func:`au_activation`."""
-    missing = expr.au_ids - set(AU_IDS)
-    if missing:
-        raise ConfigError(f"{expr.name}: no activation for AUs {sorted(missing)}")
-    return active[[AU_ROW[a] for a in sorted(expr.au_ids)]].all(axis=0)
-
-
-def expression_signal(rec: AURecording, expr: ExpressionDef) -> np.ndarray:
-    """Continuous expression trace: per-frame mean of the member AU intensities.
-
-    The values align with ``rec.frame_indices``, so a synced recording's
-    confidence gaps carry over unchanged.
-    """
+def _member_rows(matrix: np.ndarray, expr: ExpressionDef) -> np.ndarray:
+    """The rows of a (17, n) :data:`AU_ROW`-ordered matrix that hold the expression's AUs."""
     missing = expr.au_ids - set(AU_IDS)
     if missing:
         raise ConfigError(f"{expr.name}: OpenFace records no intensity for AUs {sorted(missing)}")
-    return rec.intensities[[AU_ROW[a] for a in sorted(expr.au_ids)]].mean(axis=0)
+    return matrix[[AU_ROW[a] for a in sorted(expr.au_ids)]]
+
+
+def expression_activation(active: np.ndarray, expr: ExpressionDef) -> np.ndarray:
+    """Frame-wise AND over the expression's member AU rows of :func:`au_activation`."""
+    return _member_rows(active, expr).all(axis=0)
+
+
+def expression_signal(intensities: np.ndarray, expr: ExpressionDef) -> np.ndarray:
+    """Continuous expression trace: per-frame mean of the member AU intensities.
+
+    ``intensities`` is a (17, n) matrix, a recording's or one side of a
+    :class:`SyncedPair`; the trace keeps its columns, so a synced pair's
+    confidence gaps carry over unchanged.
+    """
+    return _member_rows(intensities, expr).mean(axis=0)
 
 
 def count_activations(active: np.ndarray, video_len: int) -> float:

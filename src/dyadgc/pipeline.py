@@ -258,7 +258,7 @@ def _kept_run_signals(s_vals: np.ndarray, r_vals: np.ndarray) -> tuple[np.ndarra
 
 def _mine_au(pair: SyncedPair, s: np.ndarray, r: np.ndarray, params) -> IntervalSet:
     """One AU's selection: mine every kept run over the shift grid, then postprocess."""
-    frames = pair.sender.frame_indices
+    frames = pair.frames
     candidates: list[Interval] = []
     for iv, (xs, ys) in zip(pair.kept_frames, segment_series(frames, s, r, pair.kept_frames)):
         if len(xs) >= params.l_min:
@@ -311,7 +311,7 @@ def _test_selected(pair: SyncedPair, s, r, selection: IntervalSet, config: Analy
     if len(selection) == 0:
         return "no_intervals", None
     cut = intersect_sets([selection, pair.kept_frames])
-    return _run_gc(segment_series(pair.sender.frame_indices, s, r, cut), config)
+    return _run_gc(segment_series(pair.frames, s, r, cut), config)
 
 
 def _majority(outcomes: list[Direction]) -> Direction:
@@ -361,7 +361,7 @@ def _mine(pair: SyncedPair, config: AnalysisConfig, with_tests: bool):
     au_tests: dict[int, tuple] = {}
     for au in sorted({au for e in exprs for au in e.au_ids}):
         row = AU_ROW[au]
-        s, r = _kept_run_signals(pair.sender.intensities[row], pair.receiver.intensities[row])
+        s, r = _kept_run_signals(pair.sender[row], pair.receiver[row])
         mined[au] = _mine_au(pair, s, r, params)
         if with_tests:
             au_tests[au] = (
@@ -380,12 +380,14 @@ def _skipped(pair_id, condition, expression, kept, note) -> CellRecord:
 
 
 def analyze_pair_condition(
+    pair_id: str,
+    condition: str,
     sender: AURecording,
     receiver: AURecording,
     config: AnalysisConfig,
     selections: dict[str, IntervalSet] | None = None,
 ) -> list[CellRecord]:
-    """All expression cells for one pair in one condition.
+    """All expression cells of ``pair_id`` in ``condition``, from its two recordings.
 
     Each expression's selection is mined here, unless ``selections`` gives
     every one of them (as :func:`read_selections` reads them back). In
@@ -396,8 +398,6 @@ def analyze_pair_condition(
     per_au_mode = config.signal_mode == "per_au"
     if per_au_mode and selections is not None:
         raise ConfigError(_NO_GIVEN_PER_AU)
-    pair_id = sender.participant_id.rsplit("-", 1)[0] or sender.participant_id
-    condition = sender.condition
     try:
         pair = confidence_sync(sender, receiver, config.confidence)
     except EmptyOverlap as exc:
@@ -452,7 +452,7 @@ def load_recordings(manifest: Manifest) -> dict[tuple[str, str, str], AURecordin
         log.warning("empty manifest: nothing to analyze")
     recordings = {}
     for row in manifest.rows:
-        rec = parse_au_csv(row.path, f"{row.pair_id}-{row.role}", row.condition, row.role)
+        rec = parse_au_csv(row.path)
         if rec.n_frames == 0:
             raise FormatError(f"{row.path}: no frames")
         recordings[(row.pair_id, row.role, row.condition)] = rec
@@ -460,10 +460,10 @@ def load_recordings(manifest: Manifest) -> dict[tuple[str, str, str], AURecordin
 
 
 def _per_pair(task, manifest, recordings, config, selections=None) -> list:
-    """``task`` on each (sender, receiver, config[, its ``selections`` entry]), in
-    manifest order, on ``config.workers`` processes."""
+    """``task`` on each (pair_id, condition, sender, receiver, config[, its
+    ``selections`` entry]), in manifest order, on ``config.workers`` processes."""
     args = [
-        (recordings[(p, "sender", c)], recordings[(p, "receiver", c)], config)
+        (p, c, recordings[(p, "sender", c)], recordings[(p, "receiver", c)], config)
         + (() if selections is None else (selections[(p, c)],))
         for p, c in manifest.pair_conditions()
     ]
@@ -475,7 +475,7 @@ def _per_pair(task, manifest, recordings, config, selections=None) -> list:
 
 def _mine_task(args) -> dict[str, IntervalSet]:
     """Mine-only step: each expression's selection, empty for a skipped one; no test."""
-    sender, receiver, config = args
+    _, _, sender, receiver, config = args
     selections = {name: IntervalSet() for name in config.expressions}
     try:
         pair = confidence_sync(sender, receiver, config.confidence)

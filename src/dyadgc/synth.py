@@ -212,14 +212,10 @@ def gen_au_fixture(
     conf_r = np.ones(n)
     for f in low_conf_frames:
         conf_r[f] = 0.5
-    sender = AURecording(f"{pair_id}-sender", condition, "sender", frames, conf_s, sender_intens)
-    receiver = AURecording(
-        f"{pair_id}-receiver", condition, "receiver", frames, conf_r, receiver_intens
-    )
     s_path = out_dir / f"{pair_id}_{condition}_sender.csv"
     r_path = out_dir / f"{pair_id}_{condition}_receiver.csv"
-    write_au_csv(s_path, sender)
-    write_au_csv(r_path, receiver)
+    write_au_csv(s_path, AURecording(frames, conf_s, sender_intens))
+    write_au_csv(r_path, AURecording(frames, conf_r, receiver_intens))
     return s_path, r_path, truths
 
 

@@ -32,14 +32,13 @@ from dyadgc.timeseries import runs
 DATA = Path(__file__).parent / "data"
 
 
-def make_recording(n=20, pid="p1", condition="respectful", role="sender",
-                   confidence=None, au_values=None, start=1):
+def make_recording(n=20, confidence=None, au_values=None, start=1):
     frames = np.arange(start, start + n)
     conf = np.ones(n) if confidence is None else np.asarray(confidence, dtype=float)
     intens = np.full((len(AU_IDS), n), 0.5)
     for a, vals in (au_values or {}).items():
         intens[AU_ROW[a]] = vals
-    return AURecording(pid, condition, role, frames, conf, intens)
+    return AURecording(frames, conf, intens)
 
 
 def csv_text(rows, header=None):
@@ -61,7 +60,7 @@ def parse_text(tmp_path, text):
 def reference_parse(path):
     """The row-by-row parser on a file, as :func:`parse_au_csv` falls back to it."""
     with path.open(newline="") as fh:
-        return au_features._parse_au_stream(fh, str(path), "", "", "")
+        return au_features._parse_au_stream(fh, str(path))
 
 
 def outcome(parse, path):
@@ -138,7 +137,7 @@ class TestRecording:
         else:
             conf[100] = bad
         with pytest.raises(ShapeError, match="finite"):
-            AURecording("p1-sender", "respectful", "sender", np.arange(n), conf, intens)
+            AURecording(np.arange(n), conf, intens)
 
 
 class TestParse:
@@ -179,14 +178,13 @@ class TestParse:
         rng = np.random.default_rng(0)
         n = 10_000
         rec = AURecording(
-            "p9", "contempt", "receiver",
             np.arange(1, n + 1),
             rng.random(n),
             rng.random((len(AU_IDS), n)) * 5,
         )
         path = tmp_path / "rec.csv"
         write_au_csv(path, rec)
-        again = parse_au_csv(path, "p9", "contempt", "receiver")
+        again = parse_au_csv(path)
         np.testing.assert_array_equal(again.frame_indices, rec.frame_indices)
         np.testing.assert_array_equal(again.confidence, rec.confidence)
         np.testing.assert_array_equal(again.intensities, rec.intensities)
@@ -362,40 +360,55 @@ class TestRegistry:
 class TestConfidenceSync:
     def test_nothing_dropped_at_full_confidence(self):
         s = make_recording(30)
-        r = make_recording(30, pid="p1r", role="receiver")
+        r = make_recording(30)
         pair = confidence_sync(s, r, 0.89)
-        assert pair.sender.n_frames == 30
+        assert len(pair.frames) == 30
+        assert pair.sender.shape == pair.receiver.shape == (len(AU_IDS), 30)
         assert [(iv.start, iv.end) for iv in pair.kept_frames] == [(1, 30)]
 
     def test_either_side_drops_both(self):
         conf_s = np.ones(10)
         conf_s[4] = 0.5
         s = make_recording(10, confidence=conf_s)
-        r = make_recording(10, pid="p1r", role="receiver")
+        r = make_recording(10)
         pair = confidence_sync(s, r, 0.89)
-        assert 5 not in pair.sender.frame_indices  # frame index 5 = row 4
-        assert 5 not in pair.receiver.frame_indices
-        assert pair.sender.n_frames == 9
+        assert 5 not in pair.frames  # frame index 5 = row 4
+        assert pair.sender.shape == pair.receiver.shape == (len(AU_IDS), 9)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_kept_set_matches_per_frame_and(self, seed):
         rng = np.random.default_rng(seed)
         n = 50
         cs, cr = rng.random(n), rng.random(n)
-        s = make_recording(n, confidence=cs)
-        r = make_recording(n, pid="p1r", role="receiver", confidence=cr)
+        s = make_recording(n, confidence=cs, au_values={a: rng.random(n) * 5 for a in AU_IDS})
+        r = make_recording(n, confidence=cr, au_values={a: rng.random(n) * 5 for a in AU_IDS})
         want = np.flatnonzero((cs >= 0.89) & (cr >= 0.89)) + 1
         if want.size == 0:
             with pytest.raises(EmptyOverlap):
                 confidence_sync(s, r, 0.89)
             return
         pair = confidence_sync(s, r, 0.89)
-        np.testing.assert_array_equal(pair.sender.frame_indices, want)
-        np.testing.assert_array_equal(pair.receiver.frame_indices, want)
+        np.testing.assert_array_equal(pair.frames, want)
+        np.testing.assert_array_equal(pair.sender, s.intensities[:, want - 1])
+        np.testing.assert_array_equal(pair.receiver, r.intensities[:, want - 1])
+
+    def test_each_side_cut_at_its_own_columns(self):
+        # the sender starts at frame 1 and the receiver at frame 11: frame f is
+        # column f - 1 of the one and f - 11 of the other
+        rng = np.random.default_rng(9)
+        s, r = (
+            make_recording(40, start=start, au_values={a: rng.random(40) * 5 for a in AU_IDS})
+            for start in (1, 11)
+        )
+        pair = confidence_sync(s, r, 0.89)
+        np.testing.assert_array_equal(pair.frames, np.arange(11, 41))
+        np.testing.assert_array_equal(pair.sender, s.intensities[:, 10:])
+        np.testing.assert_array_equal(pair.receiver, r.intensities[:, :30])
+        assert pair.sender.flags.c_contiguous and pair.receiver.flags.c_contiguous
 
     def test_empty_intersection(self):
         s = make_recording(10, confidence=np.full(10, 0.2))
-        r = make_recording(10, pid="p1r", role="receiver")
+        r = make_recording(10)
         with pytest.raises(EmptyOverlap):
             confidence_sync(s, r, 0.89)
 
@@ -403,7 +416,7 @@ class TestConfidenceSync:
         conf = np.ones(10)
         conf[3] = conf[4] = 0.1
         s = make_recording(10, confidence=conf)
-        r = make_recording(10, pid="p1r", role="receiver")
+        r = make_recording(10)
         pair = confidence_sync(s, r)
         assert [(iv.start, iv.end) for iv in pair.kept_frames] == [(1, 3), (6, 10)]
 
@@ -412,12 +425,12 @@ class TestConfidenceSync:
         rng = np.random.default_rng(seed)
         frames = np.cumsum(rng.integers(1, 4, size=60))  # gaps of 0-2 missing frames
         s, r = (
-            replace(make_recording(60, role=role, confidence=rng.random(60) + 0.5), frame_indices=frames)
-            for role in ("sender", "receiver")
+            replace(make_recording(60, confidence=rng.random(60) + 0.5), frame_indices=frames)
+            for _ in range(2)
         )
         pair = confidence_sync(s, r, 0.89)
         bits = np.zeros(frames[-1] + 1, dtype=bool)
-        bits[pair.sender.frame_indices] = True
+        bits[pair.frames] = True
         assert [(iv.start, iv.end) for iv in pair.kept_frames] == runs(bits)
 
     def test_shared_frame_jump_allocates_nothing_over_the_span(self):
@@ -425,7 +438,7 @@ class TestConfidenceSync:
         n = 600
         frames = np.arange(1, n + 1)
         frames[-1] = 10**12
-        s, r = (replace(make_recording(n, role=role), frame_indices=frames) for role in ("sender", "receiver"))
+        s, r = (replace(make_recording(n), frame_indices=frames) for _ in range(2))
         tracemalloc.start()
         try:
             pair = confidence_sync(s, r, 0.89)
@@ -433,14 +446,14 @@ class TestConfidenceSync:
         finally:
             tracemalloc.stop()
         assert [(iv.start, iv.end) for iv in pair.kept_frames] == [(1, n - 1), (10**12, 10**12)]
-        assert peak < 1_000_000  # the restricted recordings and their index arrays: about 0.3 MB
+        assert peak < 1_000_000  # the two cut intensity matrices and their index arrays: about 0.19 MB
 
 
 class TestBaseline:
     def test_constant_intensity(self):
         recs = [
-            make_recording(10, condition=c, au_values={6: np.full(10, 2.0)})
-            for c in ("respectful", "contempt", "objective")
+            make_recording(10, au_values={6: np.full(10, 2.0)})
+            for _ in ("respectful", "contempt", "objective")
         ]
         base = baseline_stats(recs)
         assert base.mean[AU_ROW[6]] == 2.0
@@ -456,8 +469,8 @@ class TestBaseline:
     def test_rows_equal_per_au_reduction(self):
         rng = np.random.default_rng(8)
         recs = [
-            make_recording(n, condition=c, au_values={a: rng.random(n) * 5 for a in AU_IDS})
-            for n, c in ((37, "respectful"), (1, "contempt"), (250, "objective"))
+            make_recording(n, au_values={a: rng.random(n) * 5 for a in AU_IDS})
+            for n in (37, 1, 250)
         ]
         base = baseline_stats(recs)
         for a in AU_IDS:
@@ -473,10 +486,6 @@ class TestBaseline:
     def test_zero_frames(self):
         with pytest.raises(DegenerateSeries):
             baseline_stats([make_recording(0)])
-
-    def test_mixed_participants_rejected(self):
-        with pytest.raises(ConfigError):
-            baseline_stats([make_recording(5), make_recording(5, pid="other")])
 
 
 class TestActivation:
@@ -548,30 +557,32 @@ class TestExpressionSignal:
         rng = np.random.default_rng(4)
         vals = rng.random(30) * 5
         rec = make_recording(30, au_values={6: vals})
-        sig = expression_signal(rec, EXPRESSIONS_BY_NAME["happiness_upper"])
+        sig = expression_signal(rec.intensities, EXPRESSIONS_BY_NAME["happiness_upper"])
         np.testing.assert_allclose(sig, vals)
         assert sig.shape == rec.frame_indices.shape
 
     def test_two_au_mean(self):
         rec = make_recording(1, au_values={15: [1.0], 17: [3.0]})
-        sig = expression_signal(rec, EXPRESSIONS_BY_NAME["sadness_lower"])
+        sig = expression_signal(rec.intensities, EXPRESSIONS_BY_NAME["sadness_lower"])
         assert sig[0] == 2.0
 
     def test_matches_per_frame_mean(self):
         rng = np.random.default_rng(5)
-        rec = make_recording(60, au_values={a: rng.random(60) * 5 for a in AU_IDS})
-        # a synced recording has gaps; the values stay aligned to its frames
-        rec = rec.restrict(np.r_[0:20, 35:60])
+        conf = np.ones(60)
+        conf[20:35] = 0.5
+        rec = make_recording(60, confidence=conf, au_values={a: rng.random(60) * 5 for a in AU_IDS})
+        # a synced pair has gaps; the values stay aligned to its frames
+        pair = confidence_sync(rec, make_recording(60), 0.89)
         expr = EXPRESSIONS_BY_NAME["disgust_lower"]
-        sig = expression_signal(rec, expr)
-        want = np.mean([rec.intensities[AU_ROW[a]] for a in sorted(expr.au_ids)], axis=0)
+        sig = expression_signal(pair.sender, expr)
+        want = np.mean([pair.sender[AU_ROW[a]] for a in sorted(expr.au_ids)], axis=0)
         np.testing.assert_allclose(sig, want)
-        assert sig.shape == rec.frame_indices.shape
+        assert sig.shape == pair.frames.shape
 
     def test_missing_au(self):
         rec = make_recording(10)
         with pytest.raises(ConfigError):
-            expression_signal(rec, EXPRESSIONS_BY_NAME["anger_lower"])
+            expression_signal(rec.intensities, EXPRESSIONS_BY_NAME["anger_lower"])
 
 
 class TestCounting:

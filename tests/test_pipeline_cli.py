@@ -28,6 +28,7 @@ from dyadgc.pipeline import (
     report_from_dict,
     report_to_dict,
     run_pipeline,
+    write_results,
 )
 from dyadgc.synth import make_demo_cohort
 from dyadgc.timeseries import standardize
@@ -347,13 +348,45 @@ class TestRunPipeline:
         assert len(keys) == len(result.occurrence)
         assert all(r.condition_a < r.condition_b for r in result.occurrence)
 
-    def test_determinism_and_worker_equivalence(self, cohort):
+    def test_determinism_and_worker_equivalence(self, cohort, tmp_path):
         manifest = Manifest.load(cohort)
         cfg = AnalysisConfig(expressions=("happiness_lower",))
-        a = report_to_dict(run_pipeline(manifest, cfg))
-        b = report_to_dict(run_pipeline(manifest, with_overrides(cfg, workers=2)))
+        one = run_pipeline(manifest, cfg)
+        two = run_pipeline(manifest, with_overrides(cfg, workers=2))
+        a, b = report_to_dict(one), report_to_dict(two)
         assert a["conditions"] == b["conditions"]
         assert a["occurrence"] == b["occurrence"]
+        # each task carries its pair id and condition to the worker process
+        written = [write_results(r.cells, tmp_path / name) for name, r in (("1", one), ("2", two))]
+        assert written[0].read_bytes() == written[1].read_bytes()
+
+    def test_renaming_pairs_changes_only_their_ids(self, cohort, tmp_path):
+        # a recording's identity is its manifest key alone; the new ids keep the
+        # old sort order, so every table keeps its row order
+        renamed = {"pair01": "a-b-c", "pair02": "b-sender"}
+        rows = Manifest.load(cohort).rows
+        lines = ["pair_id,role,condition,path"]
+        lines += [f"{renamed[r.pair_id]},{r.role},{r.condition},{r.path}" for r in rows]
+        (tmp_path / "renamed.csv").write_text("\n".join(lines) + "\n")
+        cfg = AnalysisConfig(expressions=("happiness_lower", "sadness_lower"))
+        for name, path in (("old", cohort), ("new", tmp_path / "renamed.csv")):
+            emit_report(run_pipeline(Manifest.load(path), cfg), tmp_path / name)
+        old, new = tmp_path / "old", tmp_path / "new"
+        for table in ("report.json", "report.csv", "occurrence.csv"):
+            assert (old / table).read_bytes() == (new / table).read_bytes()
+        records = [
+            [json.loads(line) for line in (d / "results.jsonl").read_text().splitlines()]
+            for d in (old, new)
+        ]
+        assert [dict(r, pair_id=renamed[r["pair_id"]]) for r in records[0]] == records[1]
+        tsvs = {
+            f.name.replace(pid, renamed[pid], 1): f.read_bytes()
+            for f in (old / "intervals").iterdir()
+            for pid in renamed
+            if f.name.startswith(pid + "_")
+        }
+        assert tsvs == {f.name: f.read_bytes() for f in (new / "intervals").iterdir()}
+        assert len(tsvs) == len(rows) // 2 * len(cfg.expressions)
 
     def test_empty_manifest(self):
         result = run_pipeline(Manifest(()), AnalysisConfig())
@@ -417,9 +450,8 @@ def _pair_with_kept(n, kept, seed=0):
     conf = np.zeros(n)
     conf[list(kept)] = 1.0
     return tuple(
-        AURecording(f"p1-{role}", "respectful", role, np.arange(n), conf,
-                    1.0 + 3.0 * rng.random((len(AU_IDS), n)))
-        for role in ("sender", "receiver")
+        AURecording(np.arange(n), conf, 1.0 + 3.0 * rng.random((len(AU_IDS), n)))
+        for _ in range(2)
     )
 
 
@@ -428,13 +460,13 @@ class TestPerCellPath:
     def test_tiny_kept_span_is_insufficient(self, n_kept):
         sender, receiver = _pair_with_kept(200, range(50, 50 + n_kept))
         cfg = AnalysisConfig(expressions=("happiness_lower",))
-        (cell,) = analyze_pair_condition(sender, receiver, cfg)
+        (cell,) = analyze_pair_condition("p1", "respectful", sender, receiver, cfg)
         assert (cell.full_status, cell.sel_status) == ("insufficient", "no_intervals")
         assert cell.kept_frames == n_kept
         # per_au: every member-AU full-span test is insufficient, so the cell is
         # too; no member AU has an interval, so the cell has none either
         (cell,) = analyze_pair_condition(
-            sender, receiver, with_overrides(cfg, signal_mode="per_au")
+            "p1", "respectful", sender, receiver, with_overrides(cfg, signal_mode="per_au")
         )
         assert (cell.full_status, cell.sel_status) == ("insufficient", "no_intervals")
         assert (cell.full_outcome, cell.sel_outcome) == (None, None)
@@ -445,7 +477,7 @@ class TestPerCellPath:
         sender, receiver = _pair_with_kept(600, kept)
         selection = IntervalSet((Interval(200, 500),))
         (cell,) = analyze_pair_condition(
-            sender, receiver, AnalysisConfig(expressions=("happiness_upper",)),
+            "p1", "respectful", sender, receiver, AnalysisConfig(expressions=("happiness_upper",)),
             selections={"happiness_upper": selection},
         )
         assert cell.sel_status == "ok"
@@ -458,7 +490,7 @@ class TestPerCellPath:
         kept = [f for f in range(600) if not 300 <= f <= 309]
         sender, receiver = _pair_with_kept(600, kept)
         cfg = AnalysisConfig(expressions=("happiness_upper",))
-        (cell,) = analyze_pair_condition(sender, receiver, cfg)
+        (cell,) = analyze_pair_condition("p1", "respectful", sender, receiver, cfg)
         # standardized over all kept frames, cut at the gap, each run demeaned
         signals = [standardize(rec.intensities[AU_ROW[6], kept]) for rec in (sender, receiver)]
         segs_x, segs_y = ([v[:300] - v[:300].mean(), v[300:] - v[300:].mean()] for v in signals)
@@ -492,11 +524,13 @@ class TestMiningPerAU:
         # happiness_lower = {12, 25} and fear_lower = {20, 25} share AU25
         cfg = AnalysisConfig(expressions=("happiness_lower", "fear_lower"), signal_mode=signal_mode)
         alone = [
-            analyze_pair_condition(sender, receiver, with_overrides(cfg, expressions=(name,)))[0]
+            analyze_pair_condition(
+                "p1", "respectful", sender, receiver, with_overrides(cfg, expressions=(name,))
+            )[0]
             for name in cfg.expressions
         ]
         calls = self._count_mining(monkeypatch)
-        cells = analyze_pair_condition(sender, receiver, cfg)
+        cells = analyze_pair_condition("p1", "respectful", sender, receiver, cfg)
         assert len(calls) == 3 * 2  # AU12, AU20, AU25, once per kept run
         assert len(set(calls)) == len(calls)
         for cell, ref in zip(cells, alone):
@@ -512,7 +546,7 @@ class TestMiningPerAU:
             "surprise_lower": IntervalSet(),
         }
         calls = self._count_mining(monkeypatch)
-        cells = analyze_pair_condition(sender, receiver, cfg, selections=given)
+        cells = analyze_pair_condition("p1", "respectful", sender, receiver, cfg, selections=given)
         assert calls == []
         assert [c.intervals for c in cells] == list(given.values())
         assert cells[1].sel_status == "no_intervals"
@@ -545,7 +579,7 @@ class TestPerAUTestsOnce:
         cells, inputs = [], []
         for name in cfg.expressions:
             (cell,) = analyze_pair_condition(
-                sender, receiver, with_overrides(cfg, expressions=(name,))
+                "p1", "respectful", sender, receiver, with_overrides(cfg, expressions=(name,))
             )
             cells.append(cell)
             inputs.append(list(calls))
@@ -560,14 +594,11 @@ class TestPerAUTestsOnce:
         row = AU_ROW[25]
         intens[row, 40:180] = sender.intensities[row, 40:180]
         intens[row, 40:180] += np.random.default_rng(1).normal(0.0, 0.1, 140)
-        receiver = AURecording(
-            receiver.participant_id, receiver.condition, receiver.role,
-            receiver.frame_indices, receiver.confidence, intens,
-        )
+        receiver = AURecording(receiver.frame_indices, receiver.confidence, intens)
         # happiness_lower = {12, 25} and fear_lower = {20, 25} share AU25
         cfg = AnalysisConfig(expressions=("happiness_lower", "fear_lower"), signal_mode="per_au")
         alone, inputs, calls = self._alone(monkeypatch, sender, receiver, cfg)
-        cells = analyze_pair_condition(sender, receiver, cfg)
+        cells = analyze_pair_condition("p1", "respectful", sender, receiver, cfg)
         assert len(calls) == len(set(calls))  # no test input is fitted twice
         assert set(calls) == set(inputs[0]) | set(inputs[1])
         # AU25's full-span and selected tests were shared
@@ -580,7 +611,7 @@ class TestPerAUTestsOnce:
         cfg = AnalysisConfig(expressions=("happiness_lower",), signal_mode="per_au")
         given = {"happiness_lower": IntervalSet((Interval(20, 180),))}
         with pytest.raises(ConfigError, match="per_au"):
-            analyze_pair_condition(sender, receiver, cfg, selections=given)
+            analyze_pair_condition("p1", "respectful", sender, receiver, cfg, selections=given)
         ivdir, out = tmp_path / "iv", tmp_path / "out"
         flags = ["--manifest", str(small_cohort), "--signal-mode", "per_au"]
         assert main(["intervals", "--out", str(ivdir)] + flags) == 0
@@ -671,10 +702,10 @@ class TestCLI:
 
     def test_ingest_rejects_a_nan_cell(self, tmp_path, capsys):
         rows = ["pair_id,role,condition,path"]
-        for rec in _pair_with_kept(10, range(10)):
-            path = tmp_path / f"{rec.role}.csv"
+        for role, rec in zip(("sender", "receiver"), _pair_with_kept(10, range(10))):
+            path = tmp_path / f"{role}.csv"
             write_au_csv(path, rec)
-            rows.append(f"p1,{rec.role},respectful,{path.name}")
+            rows.append(f"p1,{role},respectful,{path.name}")
         lines = (tmp_path / "receiver.csv").read_text().splitlines()
         cells = lines[4].split(",")
         cells[-1] = "nan"  # AU45_r of the fourth frame, CSV row 5

@@ -119,7 +119,7 @@ class TestAUFixture:
 
     def test_clean_fixture_reproduces_planted_mask(self, tmp_path):
         spec, (s_path, _, _) = self.make(tmp_path, swing=0.0, onset=0)
-        rec = parse_au_csv(s_path, "p01", "respectful", "sender")
+        rec = parse_au_csv(s_path)
         base = baseline_stats([rec])
         active = expression_activation(
             au_activation(rec, base), EXPRESSIONS_BY_NAME["happiness_lower"]
@@ -130,12 +130,11 @@ class TestAUFixture:
 
     def test_low_confidence_frames_dropped_by_sync(self, tmp_path):
         spec, (s_path, r_path, truths) = self.make(tmp_path, low_conf_frames=(10, 11, 700))
-        s = parse_au_csv(s_path, "p01", "respectful", "sender")
-        r = parse_au_csv(r_path, "p01", "respectful", "receiver")
+        s = parse_au_csv(s_path)
+        r = parse_au_csv(r_path)
         pair = confidence_sync(s, r, 0.89)
         for f in (11, 12, 701):  # 1-based frames of the injected rows
-            assert f not in pair.sender.frame_indices
-            assert f not in pair.receiver.frame_indices
+            assert f not in pair.frames
 
     def test_deterministic_output(self, tmp_path):
         _, (s1, r1, _) = self.make(tmp_path / "a")
