@@ -86,21 +86,30 @@ def build_design(x_segments, y_segments, order: int) -> np.ndarray:
     if t_eff == 0:
         raise InsufficientData(f"no segment exceeds the model order {order}")
     design = np.empty((t_eff, 2 * order + 2))
-    lags = np.append(np.arange(1, order + 1), 0)  # lag of columns 0, 2, ... (x) and 1, 3, ... (y)
     row = 0
     for xs, ys in zip(xs_list, ys_list):
-        if len(xs) > order:
-            idx = np.arange(order, len(xs))[:, None] - lags
-            design[row : row + len(idx), 0::2] = xs[idx]
-            design[row : row + len(idx), 1::2] = ys[idx]
-            row += len(idx)
+        n = len(xs)
+        if n > order:
+            # column pair k holds lag k + 1 of x and y; the last pair, lag 0
+            for k, lag in enumerate((*range(1, order + 1), 0)):
+                design[row : row + n - order, 2 * k] = xs[order - lag : n - lag]
+                design[row : row + n - order, 2 * k + 1] = ys[order - lag : n - lag]
+            row += n - order
     return design
 
 
-def _ols(design: np.ndarray, targets: np.ndarray) -> tuple[float, int]:
-    coeffs, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    resid = targets - design @ coeffs
-    return float(resid @ resid), int(rank)
+_QR_BLOCK = 512  #: rows per block of :func:`_block_r`; 512 x 26 doubles stay in cache
+
+
+def _block_r(a: np.ndarray) -> np.ndarray:
+    """Householder R of a tall matrix by row blocks, R = qr([R; next block]).
+
+    Equal to one QR's R up to row signs; square when rows >= columns.
+    """
+    r = np.linalg.qr(a[:_QR_BLOCK], mode="r")
+    for start in range(_QR_BLOCK, len(a), _QR_BLOCK):
+        r = np.linalg.qr(np.vstack((r, a[start : start + _QR_BLOCK])), mode="r")
+    return r
 
 
 def cap_order(lengths, m_max: int) -> int:
@@ -127,7 +136,7 @@ def select_order(x_segments, y_segments, m_max: int, criterion: str = "bic") -> 
 
     One factorization scores every order: the design of
     :func:`build_design` at M = ``m_max``, ``[x_1, y_1, ..., x_M, y_M, x_t,
-    y_t]``, is reduced to R by a single QR. The order-m model regresses on
+    y_t]``, is reduced to R by :func:`_block_r`. The order-m model regresses on
     the first 2m columns, so the residual cross-products of the two targets
     are sums over rows 2m, 2m + 1, ... (counting from 0) of R's last two
     columns; nothing is subtracted from the targets' norms. The residual
@@ -143,7 +152,7 @@ def select_order(x_segments, y_segments, m_max: int, criterion: str = "bic") -> 
         raise InsufficientData(
             f"{t_eff} effective samples cannot support m_max={m_max}"
         )
-    r = np.linalg.qr(a, mode="r")
+    r = _block_r(a)
     rx, ry = r[:, -2], r[:, -1]
     # tail[k] = sum over rows k.. of R; t_eff > 2 * m_max + 1 makes R square
     sxx_tail = np.cumsum((rx * rx)[::-1])[::-1] / t_eff
@@ -313,33 +322,38 @@ def _result(f_yx: float, f_xy: float, order: int, t_eff: int, alpha: float) -> G
 def gc_test(x_segments, y_segments, order: int, alpha: float = 0.05) -> GCTestResult:
     """Run both directional Granger tests over the given aligned segments.
 
-    The enriched and restricted autoregressions of each direction are fitted
-    by least squares on the rows of :func:`build_design`. Raises
-    InsufficientData unless there are more than 2M + 1 rows, and
-    SingularDesign for a constant target or a rank-deficient enriched design.
+    The rows of :func:`build_design`, columns reordered as ``[x lags, y lags,
+    x_t, y_t]``, are reduced to R by :func:`_block_r`. Regressing x_t on both
+    lag blocks leaves RSS R[2M, 2M]^2; on its own lags, that plus the F
+    numerator, the sum of R[i, 2M]^2 over i = M .. 2M - 1. A QR of R's
+    columns ``[y lags, x lags, y_t]`` (2M + 2 rows) gives y_t's sums alike.
+
+    Raises InsufficientData unless there are more than 2M + 1 rows, and
+    SingularDesign for a constant target or rank-deficient lags: min |R_kk|
+    over the 2M lag columns <= max(T, 2M + 2) * eps * max |R_kk|, in the
+    style of numpy's default least-squares rank cutoff.
     """
     design = build_design(x_segments, y_segments, order)
     t_eff = len(design)
     _require_rows(t_eff, order)
-    # contiguous copies: lstsq and the residual product round differently on strided views
-    x_lags, y_lags = design[:, 0:-2:2].copy(), design[:, 1:-2:2].copy()
-    x_t, y_t = design[:, -2].copy(), design[:, -1].copy()
-    if np.ptp(x_t) == 0.0 or np.ptp(y_t) == 0.0:
+    if np.ptp(design[:, -2]) == 0.0 or np.ptp(design[:, -1]) == 0.0:
         raise SingularDesign("constant segment: no variation to regress on")
-    enriched = np.hstack([x_lags, y_lags])
-    rss_e_x, rank_x = _ols(enriched, x_t)
-    rss_e_y, rank_y = _ols(enriched, y_t)
-    if min(rank_x, rank_y) < 2 * order:
+    n_lags = 2 * order
+    r = _block_r(design[:, [*range(0, n_lags, 2), *range(1, n_lags, 2), n_lags, n_lags + 1]])
+    diag = np.abs(np.diagonal(r)[:n_lags])
+    tol = max(t_eff, n_lags + 2) * np.finfo(float).eps * diag.max()
+    if diag.min() <= tol:
         raise SingularDesign(
-            f"rank-deficient design: rank {min(rank_x, rank_y)} < {2 * order}"
+            f"rank-deficient design: rank {int(np.sum(diag > tol))} < {n_lags}"
         )
-    rss_r_x, _ = _ols(x_lags, x_t)
-    rss_r_y, _ = _ols(y_lags, y_t)
-    # Nested least squares guarantees rss_restricted >= rss_enriched; clamp
-    # the tiny floating-point violations.
-    f_yx = f_statistic(max(rss_r_x, rss_e_x) / t_eff, rss_e_x / t_eff, t_eff, order)
-    f_xy = f_statistic(max(rss_r_y, rss_e_y) / t_eff, rss_e_y / t_eff, t_eff, order)
-    return _result(f_yx, f_xy, order, t_eff, alpha)
+    r_y = np.linalg.qr(r[:, [*range(order, n_lags), *range(order), n_lags + 1]], mode="r")
+
+    def f_of(col: np.ndarray) -> float:
+        gain = float(col[order:n_lags] @ col[order:n_lags])
+        rss_r = gain + float(col[n_lags] * col[n_lags])
+        return gain * (t_eff - n_lags - 1) / (rss_r * order) if rss_r > 0.0 else 0.0
+
+    return _result(f_of(r[:, n_lags]), f_of(r_y[:, n_lags]), order, t_eff, alpha)
 
 
 def average_gc(per_interval_results, weights) -> GCTestResult:

@@ -6,7 +6,7 @@ subinterval counting instead of the bottom-up recurrence, exhaustive subset
 search instead of scheduling DP, sign-pattern enumeration instead of the
 counting polynomial, one least-squares solve per candidate VAR order instead
 of one QR for all orders, regression rows built target by target instead of
-one index gather), so agreement is meaningful.
+column by column), so agreement is meaningful.
 
 The one exception is :func:`oracle_level_walk`: the miner's own prefix-sum
 walk without its certificate. It pins the certificate to the walk's float
@@ -20,7 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import rankdata
 
 from dyadgc.errors import ConfigError, InsufficientData
-from dyadgc.granger import build_design
 from dyadgc.intervals import _prefix_sums
 from dyadgc.timeseries import runs as mask_runs
 
@@ -238,19 +237,35 @@ def oracle_pearson(xv, yv) -> float:
     return float(np.sum(xd * yd) / denom)
 
 
+def _oracle_rows(x_segments, y_segments, order: int):
+    """Lag and target columns ``(x_lags, y_lags, x_t, y_t)``, row by row.
+
+    Each row is built on its own from one segment's target and the ``order``
+    values before it; lag j is column j - 1 of each lag block.
+    """
+    lags = range(1, order + 1)
+    rows = [
+        ([xs[t - j] for j in lags], [ys[t - j] for j in lags], xs[t], ys[t])
+        for xs, ys in zip(x_segments, y_segments)
+        for t in range(order, len(xs))
+    ]
+    if not rows:
+        raise InsufficientData(f"no segment exceeds the model order {order}")
+    return tuple(np.array(col, dtype=float) for col in zip(*rows))
+
+
 def oracle_select_order(x_segments, y_segments, m_max: int, criterion: str = "bic") -> int:
     """VAR order by AIC/BIC with one ``lstsq`` per order and target, on the rows of ``m_max``."""
     if criterion not in ("aic", "bic"):
         raise ConfigError(f"criterion must be 'aic' or 'bic', got {criterion!r}")
     if m_max < 1:
         raise ConfigError(f"m_max must be >= 1, got {m_max}")
-    d = build_design(x_segments, y_segments, m_max)
-    t_eff = len(d)
+    x_lags, y_lags, x_t, y_t = _oracle_rows(x_segments, y_segments, m_max)
+    t_eff = len(x_t)
     if t_eff <= 2 * m_max + 1:
         raise InsufficientData(
             f"{t_eff} effective samples cannot support m_max={m_max}"
         )
-    x_lags, y_lags, x_t, y_t = d[:, 0:-2:2], d[:, 1:-2:2], d[:, -2], d[:, -1]
     best_m, best_ic = 1, np.inf
     for m in range(1, m_max + 1):
         design = np.column_stack([x_lags[:, :m], y_lags[:, :m]])
@@ -275,19 +290,13 @@ def oracle_select_order(x_segments, y_segments, m_max: int, criterion: str = "bi
 def oracle_var_resid(x_segments, y_segments, order: int) -> dict:
     """Unclamped residual variances (RSS / T) of the four autoregressions.
 
-    Each row is built on its own from one segment's target and the ``order``
-    values before it, and each model is one ``lstsq`` on its own columns:
-    ``restricted_x`` regresses x on its own lags, ``enriched_x`` on the lags
-    of both signals, and likewise for y. Nothing is clamped, so the nesting
-    inequality restricted >= enriched is the arithmetic's, not a ``max``.
+    The rows come from :func:`_oracle_rows`, and each model is one ``lstsq``
+    on its own columns: ``restricted_x`` regresses x on its own lags,
+    ``enriched_x`` on the lags of both signals, and likewise for y. Nothing
+    is clamped, so the nesting inequality restricted >= enriched is the
+    arithmetic's, not a ``max``.
     """
-    lags = range(1, order + 1)
-    rows = [
-        ([xs[t - j] for j in lags], [ys[t - j] for j in lags], xs[t], ys[t])
-        for xs, ys in zip(x_segments, y_segments)
-        for t in range(order, len(xs))
-    ]
-    x_lags, y_lags, x_t, y_t = (np.array(col, dtype=float) for col in zip(*rows))
+    x_lags, y_lags, x_t, y_t = _oracle_rows(x_segments, y_segments, order)
     both = np.column_stack([x_lags, y_lags])
 
     def resid_var(design, target):
@@ -296,7 +305,7 @@ def oracle_var_resid(x_segments, y_segments, order: int) -> dict:
         return float(e @ e) / len(target)
 
     return {
-        "t_eff": len(rows),
+        "t_eff": len(x_t),
         "restricted_x": resid_var(x_lags, x_t),
         "enriched_x": resid_var(both, x_t),
         "restricted_y": resid_var(y_lags, y_t),

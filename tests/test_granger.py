@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +79,14 @@ class TestBuildDesign:
         # the split loses exactly `order` rows at the boundary
         assert len(split) == len(whole) - 3
 
+    def test_short_segment_adds_no_rows_wherever_it_sits(self):
+        rng = np.random.default_rng(2)
+        segs = [rng.normal(size=20), rng.normal(size=15)]
+        want = build_design(segs, segs, 4)
+        for at in range(3):
+            with_short = segs[:at] + [rng.normal(size=4)] + segs[at:]
+            np.testing.assert_array_equal(build_design(with_short, with_short, 4), want)
+
     def test_short_segments_skipped(self):
         with pytest.raises(InsufficientData):
             build_design([np.zeros(3)], [np.zeros(3)], order=5)
@@ -139,6 +151,115 @@ class TestFitVar:
             want_xy = f_statistic(v["restricted_y"], v["enriched_y"], v["t_eff"], 3)
             assert r.f_y_causes_x == pytest.approx(want_yx, rel=1e-9)
             assert r.f_x_causes_y == pytest.approx(want_xy, rel=1e-9)
+
+
+def _segmented_var(seed, t_rows, order):
+    """A coupled VAR in three segments whose design at ``order`` has ``t_rows`` rows.
+
+    Each signal follows its own lag 1 and the other's lag ``order``, so both
+    F statistics are far from 0 and the oracle's differences of residual
+    variances lose no relative precision.
+    """
+    rng = np.random.default_rng(seed)
+    rows = [t_rows // 3, t_rows // 3, t_rows - 2 * (t_rows // 3)]
+    n = t_rows + 3 * order
+    e = rng.normal(size=(2, n))
+    x, y = e[0].copy(), e[1].copy()
+    for t in range(order, n):
+        x[t] += 0.4 * x[t - 1] + 0.3 * y[t - order]
+        y[t] += 0.4 * y[t - 1] + 0.3 * x[t - order]
+    bounds = np.cumsum([k + order for k in rows])[:-1]
+    return np.split(x, bounds), np.split(y, bounds)
+
+
+class TestRowBlocks:
+    """Designs on both sides of one and of several 512-row QR blocks, in several segments."""
+
+    @pytest.mark.parametrize("order", [1, 6, 12])
+    @pytest.mark.parametrize("t_rows", [511, 512, 513, 1537, 18000])
+    def test_gc_test_matches_least_squares_oracle(self, t_rows, order):
+        xs, ys = _segmented_var(t_rows + order, t_rows, order)
+        v = oracle_var_resid(xs, ys, order)
+        assert v["t_eff"] == t_rows
+        r = gc_test(xs, ys, order)
+        assert r.n_effective == t_rows
+        want_yx = f_statistic(v["restricted_x"], v["enriched_x"], t_rows, order)
+        want_xy = f_statistic(v["restricted_y"], v["enriched_y"], t_rows, order)
+        assert r.f_y_causes_x == pytest.approx(want_yx, rel=1e-9)
+        assert r.f_x_causes_y == pytest.approx(want_xy, rel=1e-9)
+
+    @pytest.mark.parametrize("m_max", [1, 6, 12])
+    @pytest.mark.parametrize("t_rows", [511, 512, 513, 1537, 18000])
+    def test_select_order_matches_per_order_oracle(self, t_rows, m_max):
+        xs, ys = _segmented_var(t_rows + 7 * m_max, t_rows, m_max)
+        for criterion in ("bic", "aic"):
+            assert select_order(xs, ys, m_max, criterion) == oracle_select_order(
+                xs, ys, m_max, criterion
+            )
+
+
+class TestRankTolerance:
+    """gc_test calls the lag design rank-deficient when its smallest |R_kk| is at
+    most max(T, 2M + 2) * eps times the largest."""
+
+    @staticmethod
+    def near_copy(c, rel, order):
+        """x and y = c x + rel * tol * noise in three segments.
+
+        For these unit-variance signals the y lags' smallest |R_kk| relative
+        to the largest is about 0.9 * rel * tol, where tol is the stated
+        relative tolerance.
+        """
+        x, _ = ar1_pair(9, n=1200)
+        noise = np.random.default_rng(10).normal(size=len(x))
+        tol = max(len(x) - 3 * order, 2 * order + 2) * np.finfo(float).eps
+        y = c * x + rel * tol * noise
+        bounds = [500, 800]
+        return np.split(x, bounds), np.split(y, bounds)
+
+    @pytest.mark.parametrize("order", [1, 6])
+    @pytest.mark.parametrize("c, rel", [(3.0, 0.0), (-0.7, 0.0), (1.0, 1 / 30)])
+    def test_collinear_lags_rejected(self, c, rel, order):
+        with pytest.raises(SingularDesign, match="rank-deficient"):
+            gc_test(*self.near_copy(c, rel, order), order)
+
+    @pytest.mark.parametrize("order", [1, 6])
+    def test_near_collinear_full_rank_accepted(self, order):
+        r = gc_test(*self.near_copy(1.0, 30.0, order), order)
+        assert np.isfinite([r.f_y_causes_x, r.f_x_causes_y]).all()
+
+
+#: one fixed gc_test and select_order on 4 segments x 4,500 frames, so the
+#: design spans many row blocks of the QR and large BLAS calls
+_THREAD_PROBE = r"""
+import numpy as np
+from dyadgc.granger import gc_test, select_order
+
+e = np.random.default_rng(21).normal(size=(2, 4 * 4500))
+x, y = e[0].copy(), e[1].copy()
+for t in range(1, len(x)):
+    x[t] += 0.6 * x[t - 1]
+    y[t] += 0.5 * y[t - 1] + 0.03 * x[t - 1]
+xs, ys = np.split(x, 4), np.split(y, 4)
+r = gc_test(xs, ys, 12)
+print(repr((select_order(xs, ys, 12, "bic"),
+            r.f_y_causes_x, r.p_y_causes_x, r.f_x_causes_y, r.p_x_causes_y)))
+"""
+
+
+def test_one_and_two_blas_threads_give_the_same_digits():
+    src = str(Path(granger.__file__).resolve().parents[1])
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert printed[0] == printed[1]
 
 
 class TestSelectOrder:
