@@ -39,7 +39,6 @@ from .granger import (
     average_gc,
     cap_order,
     f_sf,
-    f_statistic,
     gc_test,
     select_order,
 )

@@ -26,8 +26,8 @@ from .pipeline import (
     analyze_cells,
     emit_report,
     emit_tables,
-    load_recordings,
     mine_selections,
+    read_recording,
     read_selections,
     report_from_dict,
     run_pipeline,
@@ -85,12 +85,13 @@ def _build_config(args) -> AnalysisConfig:
 def _cmd_ingest(args) -> int:
     manifest = Manifest.load(args.manifest)
     n_frames = 0
-    for (pair_id, role, condition), rec in load_recordings(manifest).items():
+    for row in manifest.rows:
+        rec = read_recording(row.path)
         n_frames += rec.n_frames
         idx = rec.frame_indices
         gaps = int((idx[1:] - idx[:-1] > 1).sum())
         note = f", {int(idx[-1] - idx[0]) + 1 - len(idx)} missing in {gaps} gap(s)" if gaps else ""
-        print(f"ok {pair_id} {role} {condition}: {rec.n_frames} frames{note}")
+        print(f"ok {row.pair_id} {row.role} {row.condition}: {rec.n_frames} frames{note}")
     print(f"manifest valid: {len(manifest.rows)} recordings, {n_frames} frames total")
     return EXIT_OK
 
@@ -98,13 +99,14 @@ def _cmd_ingest(args) -> int:
 def _cmd_intervals(args) -> int:
     manifest = Manifest.load(args.manifest)
     config = _build_config(args)
-    selections = mine_selections(manifest, load_recordings(manifest), config)
+    selections = mine_selections(manifest, config)
     args.out.mkdir(parents=True, exist_ok=True)
-    for (pair_id, condition), per_expr in selections.items():
-        for expression, selection in per_expr.items():
-            path = selection_path(args.out, pair_id, condition, expression)
-            path.write_text(selection.to_tsv())
-            print(f"{path}: {len(selection)} intervals, {selection.total_length()} frames")
+    for pair_id, per_condition in selections.items():
+        for condition, per_expr in per_condition.items():
+            for expression, selection in per_expr.items():
+                path = selection_path(args.out, pair_id, condition, expression)
+                path.write_text(selection.to_tsv())
+                print(f"{path}: {len(selection)} intervals, {selection.total_length()} frames")
     return EXIT_OK
 
 
@@ -114,7 +116,7 @@ def _cmd_granger(args) -> int:
     selections = None
     if args.intervals_dir:
         selections = read_selections(args.intervals_dir, manifest, config)
-    cells = analyze_cells(manifest, load_recordings(manifest), config, selections)
+    cells = analyze_cells(manifest, config, selections)
     print(f"wrote {write_results(cells, args.out)} ({len(cells)} cells)")
     return EXIT_OK
 

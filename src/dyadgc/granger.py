@@ -180,19 +180,6 @@ def _require_rows(t_eff: int, order: int) -> None:
         )
 
 
-def f_statistic(resid_var_restricted: float, resid_var_enriched: float, t_eff: int, order: int) -> float:
-    """Nested-model F statistic; 0 when the enriched model brings no improvement."""
-    _require_rows(t_eff, order)
-    if resid_var_restricted <= 0.0:
-        return 0.0  # both models interpolate exactly: no improvement to test
-    f = (
-        (resid_var_restricted - resid_var_enriched)
-        * (t_eff - 2 * order - 1)
-        / (resid_var_restricted * order)
-    )
-    return max(float(f), 0.0)
-
-
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 #: Bernoulli coefficients B_2k / (2k (2k - 1)) of Stirling's series, k = 1..7
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)

@@ -1,21 +1,24 @@
 """Manifest-driven batch analysis and report assembly.
 
-The batch is a chain of stages, and each command runs only the ones it needs:
+The pair is the unit of work: one task per ``pair_id``, in sorted pair order,
+on ``config.workers`` processes, so no process holds more than one pair's
+recordings. Each command runs only the stages it needs; within a task:
 
-1. :func:`load_recordings` parses every OpenFace CSV of the manifest;
-2. ``_occurrence_rows`` counts expression activations against each
-   participant's baseline and compares conditions (Wilcoxon + BH);
-3. per pair and condition, both recordings are synchronized by tracker
-   confidence (the surviving runs bound all windowed computation), then
-   relevant intervals are mined per member AU over the shift grid, median
-   filtered, extended and intersected across the expression's AUs (each AU
-   once per pair and condition; ``_mine_task`` stops here);
+1. :func:`read_recording` parses each of the pair's OpenFace CSVs;
+2. ``_raw_counts`` counts expression activations against each participant's
+   baseline (``pipeline`` only; the parent then normalizes the counts by the
+   cohort maximum and compares conditions, Wilcoxon + BH);
+3. per condition, both recordings are synchronized by tracker confidence
+   (the surviving runs bound all windowed computation), then relevant
+   intervals are mined per member AU over the shift grid, median filtered,
+   extended and intersected across the expression's AUs (each AU once per
+   pair and condition; ``_mine_task`` stops here);
 4. :func:`analyze_pair_condition` runs the Granger tests on the selected
    segments and over the full kept span, on the same standardized signals,
    each selection mined or written by an earlier run (the full span is the
    selection of all kept runs); in ``per_au`` mode each AU's two tests run in
    its mine pass and the expression votes over them;
-5. the outcomes are counted into per-condition tables.
+5. the parent counts the outcomes into per-condition tables.
 
 Cells that fail (degenerate fits, not enough samples) are recorded and
 excluded from the table counts instead of aborting the batch; cells where no
@@ -28,7 +31,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -38,7 +40,6 @@ from .au_features import (
     AU_IDS,
     AU_ROW,
     AURecording,
-    AUBaseline,
     CONDITIONS,
     EXPRESSIONS,
     EXPRESSIONS_BY_NAME,
@@ -149,8 +150,11 @@ class Manifest:
     def pair_ids(self) -> list[str]:
         return sorted({r.pair_id for r in self.rows})
 
+    def rows_of(self, pair_id: str) -> tuple[ManifestRow, ...]:
+        return tuple(r for r in self.rows if r.pair_id == pair_id)
+
     def conditions_of(self, pair_id: str) -> list[str]:
-        return sorted({r.condition for r in self.rows if r.pair_id == pair_id})
+        return sorted({r.condition for r in self.rows_of(pair_id)})
 
     def pair_conditions(self) -> list[tuple[str, str]]:
         """Every listed (pair_id, condition), in the order the batch runs them."""
@@ -440,42 +444,50 @@ def analyze_pair_condition(
 
 
 # ---------------------------------------------------------------------------
-# batch stages
+# batch stages: one task per pair, which reads that pair's files itself
 
 
-def load_recordings(manifest: Manifest) -> dict[tuple[str, str, str], AURecording]:
-    """Every recording the manifest lists, keyed by (pair_id, role, condition).
+def read_recording(path) -> AURecording:
+    """One recording file as :func:`parse_au_csv` reads it; a file with no
+    frames raises :class:`FormatError` naming it."""
+    rec = parse_au_csv(path)
+    if rec.n_frames == 0:
+        raise FormatError(f"{path}: no frames")
+    return rec
 
-    A recording with no frames raises :class:`FormatError` naming its file.
+
+def _read_pair(rows) -> dict[tuple[str, str], AURecording]:
+    """One pair's recordings by (role, condition), read in manifest order."""
+    return {(row.role, row.condition): read_recording(row.path) for row in rows}
+
+
+def _conditions(recordings) -> list[str]:
+    return sorted({condition for _, condition in recordings})
+
+
+def _per_pair(task, manifest: Manifest, config: AnalysisConfig, extra=lambda pair_id: ()) -> list:
+    """``task`` on each (pair_id, its manifest rows, config, *extra(pair_id)),
+    in pair order, on ``config.workers`` processes.
+
+    A task reads its own pair's files, so no process holds more than one
+    pair's recordings, and a bad file raises from the first pair, in pair
+    order, that has one.
     """
-    if not manifest.rows:
+    pair_ids = manifest.pair_ids()
+    if not pair_ids:
         log.warning("empty manifest: nothing to analyze")
-    recordings = {}
-    for row in manifest.rows:
-        rec = parse_au_csv(row.path)
-        if rec.n_frames == 0:
-            raise FormatError(f"{row.path}: no frames")
-        recordings[(row.pair_id, row.role, row.condition)] = rec
-    return recordings
+    args = [(p, manifest.rows_of(p), config, *extra(p)) for p in pair_ids]
+    if config.workers > 1 and len(args) > 1:
+        # imported here, so a one-process run does not pay for the pool
+        from concurrent.futures import ProcessPoolExecutor
 
-
-def _per_pair(task, manifest, recordings, config, selections=None) -> list:
-    """``task`` on each (pair_id, condition, sender, receiver, config[, its
-    ``selections`` entry]), in manifest order, on ``config.workers`` processes."""
-    args = [
-        (p, c, recordings[(p, "sender", c)], recordings[(p, "receiver", c)], config)
-        + (() if selections is None else (selections[(p, c)],))
-        for p, c in manifest.pair_conditions()
-    ]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(args))) as pool:
             return list(pool.map(task, args))
     return [task(a) for a in args]
 
 
-def _mine_task(args) -> dict[str, IntervalSet]:
-    """Mine-only step: each expression's selection, empty for a skipped one; no test."""
-    _, _, sender, receiver, config = args
+def _mine_condition(sender, receiver, config) -> dict[str, IntervalSet]:
+    """One condition's selection per expression, empty for a skipped one; no test."""
     selections = {name: IntervalSet() for name in config.expressions}
     try:
         pair = confidence_sync(sender, receiver, config.confidence)
@@ -484,27 +496,59 @@ def _mine_task(args) -> dict[str, IntervalSet]:
     return {**selections, **_mine(pair, config, with_tests=False)[0]}
 
 
-def _cell_task(args) -> list[CellRecord]:
-    return analyze_pair_condition(*args)
+def _mine_task(args) -> dict[str, dict[str, IntervalSet]]:
+    """Mine-only task: one pair's selections, by condition and then expression."""
+    _, rows, config = args
+    recs = _read_pair(rows)
+    return {
+        c: _mine_condition(recs["sender", c], recs["receiver", c], config)
+        for c in _conditions(recs)
+    }
 
 
-def mine_selections(manifest, recordings, config) -> dict[tuple[str, str], dict[str, IntervalSet]]:
-    """Every cell's selection, by (pair_id, condition) and then expression."""
-    return dict(zip(manifest.pair_conditions(), _per_pair(_mine_task, manifest, recordings, config)))
+def _cell_task(args) -> tuple[list[CellRecord], dict]:
+    """One pair's cells, condition by condition, and, when ``occurrence`` is
+    set, its participants' raw activation counts (else an empty dict)."""
+    pair_id, rows, config, selections, occurrence = args
+    recs = _read_pair(rows)
+    raw = _raw_counts(pair_id, recs, config) if occurrence else {}
+    cells = [
+        cell
+        for c in _conditions(recs)
+        for cell in analyze_pair_condition(
+            pair_id, c, recs["sender", c], recs["receiver", c], config,
+            None if selections is None else selections[c],
+        )
+    ]
+    return cells, raw
 
 
-def analyze_cells(manifest, recordings, config, selections=None) -> tuple[CellRecord, ...]:
+def mine_selections(manifest, config) -> dict[str, dict[str, dict[str, IntervalSet]]]:
+    """Every cell's selection, by pair_id, condition and then expression."""
+    return dict(zip(manifest.pair_ids(), _per_pair(_mine_task, manifest, config)))
+
+
+def _analyze(manifest, config, selections, occurrence: bool):
+    """Every cell, and with ``occurrence`` every participant's raw counts."""
+    if selections is not None and config.signal_mode == "per_au":
+        raise ConfigError(_NO_GIVEN_PER_AU)  # before any file is read
+    per_task = _per_pair(
+        _cell_task, manifest, config,
+        lambda p: (None if selections is None else selections[p], occurrence),
+    )
+    cells = tuple(cell for group, _ in per_task for cell in group)
+    return cells, {k: v for _, raw in per_task for k, v in raw.items()}
+
+
+def analyze_cells(manifest, config, selections=None) -> tuple[CellRecord, ...]:
     """Every cell, tested on its mined selection or on its entry of ``selections``."""
-    per_task = _per_pair(_cell_task, manifest, recordings, config, selections)
-    return tuple(cell for group in per_task for cell in group)
+    return _analyze(manifest, config, selections, occurrence=False)[0]
 
 
 def run_pipeline(manifest: Manifest, config: AnalysisConfig) -> PipelineResult:
     """Execute the full batch and assemble the report."""
-    recordings = load_recordings(manifest)
-    occurrence = _occurrence_rows(manifest, recordings, config)
-    cells = analyze_cells(manifest, recordings, config)
-    return PipelineResult(_assemble_reports(cells), cells, occurrence, config)
+    cells, raw = _analyze(manifest, config, None, occurrence=True)
+    return PipelineResult(_assemble_reports(cells), cells, _occurrence_rows(raw, config), config)
 
 
 def selection_path(directory, pair_id: str, condition: str, expression: str) -> Path:
@@ -512,16 +556,16 @@ def selection_path(directory, pair_id: str, condition: str, expression: str) -> 
     return Path(directory) / f"{pair_id}_{condition}_{expression}.tsv"
 
 
-def read_selections(directory, manifest, config) -> dict[tuple[str, str], dict[str, IntervalSet]]:
+def read_selections(directory, manifest, config) -> dict[str, dict[str, dict[str, IntervalSet]]]:
     """Every cell's written selection, in :func:`mine_selections`' shape.
 
     Each cell needs its own UTF-8 file (a leading byte-order mark is
     skipped); a missing, malformed or undecodable one is a
     :class:`FormatError` naming it. Other files are never read.
     """
-    out: dict[tuple[str, str], dict[str, IntervalSet]] = {}
+    out: dict[str, dict[str, dict[str, IntervalSet]]] = {}
     for pair_id, condition in manifest.pair_conditions():
-        per_expr = out[(pair_id, condition)] = {}
+        per_expr = out.setdefault(pair_id, {})[condition] = {}
         for name in config.expressions:
             path = selection_path(directory, pair_id, condition, name)
             try:
@@ -533,41 +577,39 @@ def read_selections(directory, manifest, config) -> dict[tuple[str, str], dict[s
     return out
 
 
-def _occurrence_rows(manifest, recordings, config) -> tuple[ComparisonRow, ...]:
-    """Normalized activation counts per participant, then Wilcoxon + BH.
-
-    Each participant's baseline pools the conditions the manifest lists for it.
-    """
-    baselines: dict[tuple[str, str], AUBaseline] = {}
-    for pair_id in manifest.pair_ids():
-        for role in ROLES:
-            # the manifest holds both roles of every (pair, condition) it lists
-            recs = [recordings[(pair_id, role, c)] for c in manifest.conditions_of(pair_id)]
-            base = baseline_stats(recs)
-            if not base.complete:
-                log.warning(
-                    "%s-%s: baseline pooled over %d condition(s) only",
-                    pair_id, role, base.n_conditions,
-                )
-            baselines[(pair_id, role)] = base
-
+def _raw_counts(pair_id, recs, config) -> dict[str, dict[str, dict[str, float]]]:
+    """Activation counts per participant, condition and expression, before
+    the cohort normalization. Each participant's baseline pools the
+    conditions the manifest lists for it."""
+    conditions = _conditions(recs)
     computable = [e for e in EXPRESSIONS if e.available_in(AU_IDS)]
-    raw: dict[str, dict[str, dict[str, float]]] = {}
-    for (pair_id, role, cond), rec in sorted(recordings.items()):
-        base = baselines[(pair_id, role)]
-        active = au_activation(rec, base, config.activation_factor)
-        participant = f"{pair_id}-{role}"
-        for expr in computable:
-            raw.setdefault(participant, {}).setdefault(cond, {})[expr.name] = (
-                count_activations(expression_activation(active, expr), rec.n_frames)
+    raw = {}
+    for role in sorted(ROLES):
+        own = [recs[role, c] for c in conditions]
+        base = baseline_stats(own)
+        if not base.complete:
+            log.warning(
+                "%s-%s: baseline pooled over %d condition(s) only",
+                pair_id, role, base.n_conditions,
             )
-    # cohort-level normalization by the per-expression maximum
+        per = raw[f"{pair_id}-{role}"] = {}
+        for cond, rec in zip(conditions, own):
+            active = au_activation(rec, base, config.activation_factor)
+            per[cond] = {
+                expr.name: count_activations(expression_activation(active, expr), rec.n_frames)
+                for expr in computable
+            }
+    return raw
+
+
+def _occurrence_rows(raw, config) -> tuple[ComparisonRow, ...]:
+    """Each expression's raw counts normalized by its cohort maximum, then Wilcoxon + BH."""
     counts = [cond for per in raw.values() for cond in per.values()]
-    for expr in computable:
-        top = max((cond[expr.name] for cond in counts), default=0.0)
+    for name in {name for cond in counts for name in cond}:
+        top = max(cond[name] for cond in counts)
         if top > 0:
             for cond in counts:
-                cond[expr.name] = cond[expr.name] / top
+                cond[name] = cond[name] / top
     if len(raw) < 2:
         return ()
     return tuple(condition_comparison(raw, q=config.fdr_q))

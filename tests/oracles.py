@@ -237,6 +237,21 @@ def oracle_pearson(xv, yv) -> float:
     return float(np.sum(xd * yd) / denom)
 
 
+def f_statistic(resid_var_restricted: float, resid_var_enriched: float, t_eff: int, order: int) -> float:
+    """Nested-model F statistic from two residual variances; 0 when the enriched
+    model brings no improvement. The F test needs more than 2M + 1 rows."""
+    if t_eff <= 2 * order + 1:
+        raise InsufficientData(f"need T > 2M + 1 for the F test, got T={t_eff}, M={order}")
+    if resid_var_restricted <= 0.0:
+        return 0.0  # both models interpolate exactly: no improvement to test
+    f = (
+        (resid_var_restricted - resid_var_enriched)
+        * (t_eff - 2 * order - 1)
+        / (resid_var_restricted * order)
+    )
+    return max(float(f), 0.0)
+
+
 def _oracle_rows(x_segments, y_segments, order: int):
     """Lag and target columns ``(x_lags, y_lags, x_t, y_t)``, row by row.
 

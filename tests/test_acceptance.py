@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dyadgc.cli import main
-from dyadgc.granger import Direction, cap_order, f_statistic, gc_test, select_order
+from dyadgc.granger import Direction, cap_order, gc_test, select_order
 from dyadgc.intervals import (
     IntervalParams,
     correlated_intervals,
@@ -28,6 +28,7 @@ from dyadgc.timeseries import TimeSeries, standardize
 
 from generators import active_everywhere, gen_masked_transient_pair, gen_window_pair
 from oracles import (
+    f_statistic,
     oracle_longest_set,
     oracle_maximal_intervals,
     oracle_var_resid,

@@ -20,11 +20,10 @@ from dyadgc.granger import (
     cap_order,
     classify,
     f_sf,
-    f_statistic,
     gc_test,
     select_order,
 )
-from oracles import oracle_select_order, oracle_var_resid
+from oracles import f_statistic, oracle_select_order, oracle_var_resid
 
 
 def ar1_pair(seed, n=2000, a=0.5):

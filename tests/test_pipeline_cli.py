@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from dyadgc.pipeline import (
     analyze_cells,
     analyze_pair_condition,
     emit_report,
-    load_recordings,
+    mine_selections,
     read_selections,
     report_from_dict,
     report_to_dict,
@@ -435,7 +436,7 @@ class TestRunPipeline:
         first = run_pipeline(manifest, cfg)
         emit_report(first, tmp_path)
         written = read_selections(tmp_path / "intervals", manifest, cfg)
-        again = analyze_cells(manifest, load_recordings(manifest), cfg, written)
+        again = analyze_cells(manifest, cfg, written)
         assert len(again) == len(first.cells)
         for a, b in zip(first.cells, again):
             assert a.intervals.intervals == b.intervals.intervals
@@ -1093,7 +1094,12 @@ class TestStages:
             (bom / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         manifest = Manifest.load(small_cohort)
         plain = read_selections(ivdir, manifest, AnalysisConfig())
-        assert any(len(sel) for per_expr in plain.values() for sel in per_expr.values())
+        assert any(
+            len(sel)
+            for per_condition in plain.values()
+            for per_expr in per_condition.values()
+            for sel in per_expr.values()
+        )
         assert read_selections(bom, manifest, AnalysisConfig()) == plain
         argv = ["granger", "--manifest", str(small_cohort)]
         assert main(argv + ["--out", str(tmp_path / "gc"), "--intervals-dir", str(ivdir)]) == 0
@@ -1123,3 +1129,97 @@ class TestStages:
         assert main(["report", "--results", str(saved), "--out", str(tmp_path / "o")]) == 2
         assert f"error: {saved}: not a saved report.json" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def _nan_in(path, row=5):
+    """Write NaN into the last column (AU45_r) of CSV row ``row`` of a recording."""
+    lines = path.read_text().splitlines()
+    cells = lines[row - 1].split(",")
+    cells[-1] = "nan"
+    lines[row - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestPairTasks:
+    """A pair is the unit of work: each task reads and analyzes one pair's files."""
+
+    def test_one_pair_of_recordings_at_a_time(self, cohort, monkeypatch):
+        manifest = Manifest.load(cohort)
+        pair_of = {row.path: row.pair_id for row in manifest.rows}
+        live, seen = weakref.WeakSet(), []
+        real = pipeline.parse_au_csv
+
+        def tracked(path):
+            rec = real(path)
+            live.add(rec)
+            limit = 2 * len(manifest.conditions_of(pair_of[path]))
+            seen.append((len(live), limit))
+            return rec
+
+        monkeypatch.setattr(pipeline, "parse_au_csv", tracked)
+        cfg = AnalysisConfig(expressions=("happiness_lower",))
+        run_pipeline(manifest, cfg)
+        selections = mine_selections(manifest, cfg)
+        analyze_cells(manifest, cfg)
+        analyze_cells(manifest, cfg, selections)
+        assert len(seen) == 4 * len(manifest.rows)
+        assert all(n <= limit for n, limit in seen), max(seen)
+        # a pair's recordings are all held while its task runs
+        assert max(n for n, _ in seen) == 2 * len(manifest.conditions_of("pair01"))
+
+    def test_two_workers_write_what_one_writes(self, cohort, tmp_path):
+        flags = ["--manifest", str(cohort)]
+        for w in ("1", "2"):
+            out = tmp_path / w
+            assert main(["pipeline", "--out", str(out / "run"), "--workers", w] + flags) == 0
+            assert main(["intervals", "--out", str(out / "iv"), "--workers", w] + flags) == 0
+            given = ["--intervals-dir", str(out / "run" / "intervals")]
+            assert main(["granger", "--out", str(out / "gc"), "--workers", w] + flags + given) == 0
+
+        def written(root):
+            # report.json echoes the config, workers included
+            files = (p for p in root.rglob("*") if p.is_file() and p.name != "report.json")
+            return {p.relative_to(root): p.read_bytes() for p in files}
+
+        one, two = written(tmp_path / "1"), written(tmp_path / "2")
+        assert {"results.jsonl", "report.csv", "occurrence.csv"} <= {p.name for p in one}
+        cells = len(Manifest.load(cohort).rows) // 2 * len(AnalysisConfig().expressions)
+        assert len([p for p in one if p.parts[0] == "iv"]) == cells
+        assert one == two
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_file_in_the_last_pair_is_named(self, tmp_path, capsys, workers):
+        manifest = make_demo_cohort(tmp_path / "c", n_pairs=3, length=600, seed=5)
+        bad = tmp_path / "c" / "pair03_objective_sender.csv"
+        _nan_in(bad)
+        out = tmp_path / "out"
+        argv = ["pipeline", "--manifest", str(manifest), "--out", str(out), "--workers", workers]
+        assert main(argv) == 2
+        assert f"error: {bad}: bad value in row 5: AU45_r is nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_first_bad_pair_in_sorted_order_is_named(self, tmp_path, capsys, workers):
+        manifest = make_demo_cohort(tmp_path / "c", n_pairs=3, length=600, seed=5)
+        # the manifest lists pair03 first; pairs still run in sorted order
+        header, *rows = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([header] + rows[::-1]) + "\n")
+        first, later = (tmp_path / "c" / f"pair0{i}_contempt_receiver.csv" for i in (2, 3))
+        for path in (first, later):
+            _nan_in(path)
+        out = tmp_path / "out"
+        argv = ["pipeline", "--manifest", str(manifest), "--out", str(out), "--workers", workers]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {first}: bad value in row 5: AU45_r is nan" in err
+        assert str(later) not in err
+        assert not out.exists()
+
+    def test_per_au_refuses_written_selections_before_reading_a_file(self, cohort, monkeypatch):
+        reads = []
+        monkeypatch.setattr(pipeline, "parse_au_csv", reads.append)
+        manifest = Manifest.load(cohort)
+        given = {p: {} for p in manifest.pair_ids()}
+        with pytest.raises(ConfigError, match="per_au"):
+            analyze_cells(manifest, AnalysisConfig(signal_mode="per_au"), given)
+        assert reads == []

@@ -38,6 +38,22 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
+ONE_PROCESS_RUN = r"""
+import sys
+from pathlib import Path
+
+from dyadgc.cli import main
+
+out = Path(sys.argv[1])
+manifest = str(out / "cohort" / "manifest.csv")
+assert main(["synth", "--out", str(out / "cohort"), "--pairs", "2", "--length", "600"]) == 0
+assert main(["ingest", "--manifest", manifest]) == 0
+assert main(["pipeline", "--manifest", manifest, "--out", str(out / "run")]) == 0
+assert main(["report", "--results", str(out / "run" / "report.json"), "--out", str(out / "re")]) == 0
+print("concurrent.futures.process" in sys.modules)
+"""
+
+
 def run(script, *args):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -57,3 +73,10 @@ def test_cli_import_loads_no_scipy():
     proc = run(LOADED_BY_CLI)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+def test_one_process_run_loads_no_process_pool(tmp_path):
+    # the pool's import costs set-up time and memory; only --workers > 1 needs it
+    proc = run(ONE_PROCESS_RUN, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
