@@ -27,11 +27,16 @@ sums and in the walk's, and applies the walk's flatness floor at the span's
 full width, so it is exact: a certificate that fails leaves the run to the
 walk.
 
-:func:`correlated_intervals` mines all shifts at once: one stacked array of
-prefix sums, one first level for every shift, and a walk only for the shifts
-with a valid start. It reports sample indices into ``x``, tagged with the
-shift; from :func:`mine_shifted` on, intervals are closed absolute frame
-ranges, so results from different shifts, runs, and action units pool directly.
+:func:`correlated_intervals` mines all shifts of a run from one set of
+prefix sums (:func:`_prefix_sums`): x − x̄, y − ȳ and their squares are
+summed once per run, about the run's means, and only the product
+(x[u] − x̄)(y[u + s] − ȳ) once per shift s. The first level takes each x
+window's and each y window's centered sums once and reads shift s's y sums
+at start u + s, so only Sxy and the r test are per shift; only the shifts
+with a valid start are walked. It reports sample indices into ``x``, tagged
+with the shift; from :func:`mine_shifted` on, intervals are closed absolute
+frame ranges, so results from different shifts, runs, and action units pool
+directly.
 :func:`segment_series` is the one place where frame intervals become samples.
 """
 
@@ -41,6 +46,7 @@ import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, EmptyInput, ShapeError
 from .timeseries import TimeSeries, median_filter, runs
@@ -160,8 +166,8 @@ class IntervalSet:
 def _window_stats(c, length: int, a: int, b: int):
     """Centered (Sxx, Syy, Sxy) of each window of ``length`` starting at ``a .. b - 1``.
 
-    ``c`` holds the prefix sums of x, y, x², y² and xy along its first axis
-    and runs along its last; any axes between are kept.
+    ``c`` holds the prefix sums of x, y, x², y² and xy along its first axis,
+    indexed by the window's start along its last.
     """
     l = length
     sx, sy, sxx, syy, sxy = c[..., a + l : b + l] - c[..., a:b]
@@ -177,7 +183,11 @@ def _valid_starts(stats, length: int, beta: float, tol) -> np.ndarray:
     vx, vy, cov = stats
     l = length
     ok = (vx > tol * l) & (vy > tol * l)
-    return ok & (cov / np.sqrt(np.where(ok, vx * vy, 1.0)) >= beta)
+    r = vx * vy
+    np.putmask(r, ~ok, 1.0)
+    np.sqrt(r, out=r)
+    ok &= np.divide(cov, r, out=r) >= beta
+    return ok
 
 
 def _mean(a: np.ndarray) -> float:
@@ -185,42 +195,53 @@ def _mean(a: np.ndarray) -> float:
     return float(np.add.reduce(a)) / len(a)
 
 
-def _overlap(x: np.ndarray, y: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the samples pairing ``x[t]`` with ``y[t + s]``."""
-    n = len(x)
-    return x[max(-s, 0) : n - max(s, 0)], y[max(s, 0) : n - max(-s, 0)]
-
-
 def _prefix_sums(x: np.ndarray, y: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums of centered x, y, x², y² and xy over each shift's overlap, and its flatness tolerance.
+    """Prefix sums of x − x̄, y − ȳ, their squares and each shift's products, and each shift's flatness tolerance.
 
-    Row i pairs ``x[t]`` with ``y[t + shifts[i]]``; in the (5, k, L + 1)
-    array each row starts at 0 and holds its total past its own length.
+    x̄ and ȳ are the whole run's means. Rows 0-3 of the (4 + k, n + 2P + 1)
+    array, P the largest |shift|, sum x − x̄, y − ȳ and their squares; row
+    4 + i sums (x[u] − x̄)(y[u + s] − ȳ) for s = ``shifts[i]``, with zeros
+    where u + s is outside the run. Sample u's term sits in column P + u + 1,
+    so every row starts with P + 1 zeros and ends with P copies of its
+    total: the samples [u, u + l) of x sum to column P + u + l minus column
+    P + u, and those of y at shift s to the same columns plus s. A row's
+    tolerance is the larger mean square of its overlap's x and y, each about
+    its own mean, times ``_FLAT_REL``. A non-finite sample, or a square that
+    overflows, raises :class:`ShapeError`.
     """
-    n = len(x)
-    c = np.zeros((5, len(shifts), n - min(abs(s) for s in shifts) + 1))
-    for i, s in enumerate(shifts):
-        xs, ys = _overlap(x, y, s)
-        # Center on the row's own means first: keeps the cancellation in
-        # sum(x^2) - sum(x)^2/l benign for offset-heavy signals.
-        np.subtract(xs, _mean(xs), out=c[0, i, 1 : len(xs) + 1])
-        np.subtract(ys, _mean(ys), out=c[1, i, 1 : len(xs) + 1])
+    n, pad = len(x), max((abs(s) for s in shifts), default=0)
+    c = np.zeros((4 + len(shifts), n + 2 * pad + 1))
+    xc, yc = c[0, pad + 1 : pad + n + 1], c[1, pad + 1 : pad + n + 1]
+    # Center on the run's means first: keeps the cancellation in
+    # sum(x^2) - sum(x)^2/l benign for offset-heavy signals.
+    np.subtract(x, _mean(x), out=xc)
+    np.subtract(y, _mean(y), out=yc)
     np.multiply(c[:2], c[:2], out=c[2:4])
-    np.multiply(c[0], c[1], out=c[4])
-    rows = [c[2:4, i, 1 : n - abs(s) + 1] for i, s in enumerate(shifts)]
-    tol = [max(_mean(r[0]), _mean(r[1]), 1e-300) * _FLAT_REL for r in rows]
-    return np.cumsum(c, axis=-1, out=c), np.array(tol)
+    for i, s in enumerate(shifts):
+        lo, hi = max(-s, 0), n - max(s, 0)  # the x samples whose partner y[u + s] exists
+        np.multiply(xc[lo:hi], yc[lo + s : hi + s], out=c[4 + i, pad + 1 + lo : pad + 1 + hi])
+    np.cumsum(c, axis=-1, out=c)
+    if not np.isfinite(c[:, -1]).all():
+        raise ShapeError("correlated_intervals needs finite signals")
+    s = np.array(shifts, dtype=int)
+    lo, hi = pad + np.maximum(-s, 0), pad + n - np.maximum(s, 0)
+    m = hi - lo
+    sx, sxx = c[0:3:2, hi] - c[0:3:2, lo]
+    sy, syy = c[1:4:2, hi + s] - c[1:4:2, lo + s]
+    tol = np.maximum(np.maximum(sxx - sx * sx / m, syy - sy * sy / m) / m, 1e-300) * _FLAT_REL
+    return c, tol
 
 
 def _certified(c, l: int, a: int, b: int, beta: float, tol: float, vx: np.ndarray, vy: np.ndarray, row) -> bool:
     """Whether the walk would keep run ``[a, b]`` at level ``l`` whole up to one start.
 
     Every start of the run is valid at length ``l``; ``vx`` and ``vy`` are
-    the centered Sxx and Syy of its length-``(l + 1)`` windows, and ``row``
-    holds the row's raw ``(x, y)`` samples and their means, from which the
-    prefix sums ``c`` were built. True means every window of
-    ``U = [a, b + l - 1]`` of length ``l + 1`` or more passes the walk's own
-    float test, so the walk would emit exactly ``U``.
+    the centered Sxx and Syy of its length-``(l + 1)`` windows. ``c`` holds
+    the walk's five prefix-sum rows, indexed by the x sample u with y at
+    u + s, and ``row`` holds the raw samples, the shift s and the run's means
+    ``(x, y, s, x̄, ȳ)`` from which they were built. True means
+    every window of ``U = [a, b + l - 1]`` of length ``l + 1`` or more passes
+    the walk's own float test, so the walk would emit exactly ``U``.
 
     Why: let U's least-squares line have slope g > 0, residuals e and
     running residual sums E, counted from a. A window w starting u frames
@@ -245,8 +266,10 @@ def _certified(c, l: int, a: int, b: int, beta: float, tol: float, vx: np.ndarra
         return False
     m_x, m_y = float(vx.min()), float(vy.min())
     # Absolute float error of any centered window sum taken from the
-    # sequential prefix sums: (2n + 3) eps per prefix total, times
-    # 1 + 2 sqrt(n / k) from subtracting s^2 / k for windows k >= l + 1.
+    # sequential prefix sums over the run's n samples: (2n + 3) eps per
+    # prefix total, times 1 + 2 sqrt(n / k) from subtracting s^2 / k for
+    # windows k >= l + 1. A row's last sum is the run's total, or for y at
+    # s < 0 that of its first n + s samples; no sum the row holds exceeds it.
     eps = np.finfo(float).eps
     unit = (2 * n + 3) * eps * (1.0 + 2.0 * np.sqrt(n / (l + 1)))
     err_x, err_y = unit * cxx[n], unit * cyy[n]
@@ -258,10 +281,10 @@ def _certified(c, l: int, a: int, b: int, beta: float, tol: float, vx: np.ndarra
     # r on every window of U (a few multiples of err / m each).
     margin = max(1e-6, 16.0 * (err_x / m_x + err_y / m_y))
     # Residuals of U's line on the very centered values the prefix sums
-    # added (xs - mx bit for bit), recomputed so no centered copy is kept.
-    xs, ys, mx, my = row
-    res = ys[a:e] - my - sy / w
-    res -= sxy / sxx * (xs[a:e] - mx - sx / w)
+    # added (x - x̄ bit for bit), recomputed so no centered copy is kept.
+    x, y, s, mx, my = row
+    res = y[a + s : e + s] - my - sy / w
+    res -= sxy / sxx * (x[a:e] - mx - sx / w)
     E = np.zeros(w + 1)
     np.cumsum(res * res, out=E[1:])
     # E's float error: its running sum, (2W + 2) eps of E[W] <= Syy(U), and
@@ -282,28 +305,34 @@ def correlated_intervals(x: np.ndarray, y: np.ndarray, p: IntervalParams) -> lis
     """
     if x.ndim != 1 or x.shape != y.shape:
         raise ShapeError(f"need two 1-D signals of equal length, got {x.shape} and {y.shape}")
-    n = len(x)
-    if n < p.l_min:
-        raise ShapeError(f"series length {n} below minimum interval length {p.l_min}")
-    shifts = [s for s in dict.fromkeys(p.shifts) if n - abs(s) >= p.l_min]
+    n, l = len(x), p.l_min
+    if n < l:
+        raise ShapeError(f"series length {n} below minimum interval length {l}")
+    shifts = [s for s in dict.fromkeys(p.shifts) if n - abs(s) >= l]
+    c, tols = _prefix_sums(x, y, shifts)  # first, so every sample is checked finite
     if not shifts:
         return []
-    c, tols = _prefix_sums(x, y, shifts)
-    # a NaN or Inf anywhere in a row (or an overflowing square) leaves that row's totals non-finite
-    if not np.isfinite(c[..., -1]).all():
-        raise ShapeError("correlated_intervals needs finite signals")
-    lengths = n - np.abs(shifts)
-    # valid length-l_min starts of every row; starts past a row's own n - l_min are masked out
-    w = c.shape[2] - p.l_min
-    first = _valid_starts(_window_stats(c, p.l_min, 0, w), p.l_min, p.beta, tols[:, None])
-    first &= np.arange(w) <= (lengths - p.l_min)[:, None]
+    pad, w = max(abs(s) for s in shifts), n - l + 1
+    # The first length for every shift at once: each x window's and each y
+    # window's centered sums once, shift s reading y's at start u + s.
+    sx, sxx = c[0:3:2, pad + l : pad + l + w] - c[0:3:2, pad : pad + w]
+    sy, syy = c[1:4:2, l:] - c[1:4:2, :-l]  # y's window from sample v is column pad + v
+    vy = syy - sy * sy / l
+    vy[:pad] = vy[pad + w :] = 0.0  # a y window past either end of the run is flat: no start
+    at = pad + np.array(shifts)
+    sy, vy = (sliding_window_view(r, w)[at] for r in (sy, vy))
+    cov = c[4:, pad + l : pad + l + w] - c[4:, pad : pad + w]
+    cov -= np.divide(np.multiply(sx, sy, out=sy), l, out=sy)
+    first = _valid_starts((sxx - sx * sx / l, vy, cov), l, p.beta, tols[:, None])
 
     out: list[Interval] = []
+    means = _mean(x), _mean(y)
     for i in np.flatnonzero(first.any(axis=1)):
-        s, cs, tol = shifts[i], c[:, i, : lengths[i] + 1], tols[i]
-        xs, ys = _overlap(x, y, s)
-        row = (xs, ys, _mean(xs), _mean(ys))
-        off = max(-s, 0)
+        s, tol = shifts[i], tols[i]
+        # the walk's five rows, indexed by the x sample u, with y at u + s
+        at_u, at_s = slice(pad, pad + n + 1), slice(pad + s, pad + s + n + 1)
+        cs = np.stack((c[0, at_u], c[1, at_s], c[2, at_u], c[3, at_s], c[4 + i, at_u]))
+        row = (x, y, s, *means)
         l, live = p.l_min, runs(first[i])  # valid length-l starts, as closed runs [a, b]
         while live:
             nxt_runs = []
@@ -314,7 +343,7 @@ def correlated_intervals(x: np.ndarray, y: np.ndarray, p: IntervalParams) -> lis
                 stats = _window_stats(cs, l + 1, a, b)
                 wide = certify and b - a + 1 >= _CERT_MIN_WIDTH
                 if wide and _certified(cs, l, a, b, p.beta, tol, *stats[:2], row):
-                    out.append(Interval(off + a, off + b + l - 1, s))
+                    out.append(Interval(a, b + l - 1, s))
                     continue
                 nxt = _valid_starts(stats, l + 1, p.beta, tol)
                 if b > a and nxt.all():
@@ -323,7 +352,7 @@ def correlated_intervals(x: np.ndarray, y: np.ndarray, p: IntervalParams) -> lis
                 # maximal: neither [t - 1, t + l - 1] nor [t, t + l] is valid
                 grown = np.concatenate(([False], nxt)) | np.concatenate((nxt, [False]))
                 for t in np.flatnonzero(~grown):
-                    out.append(Interval(off + a + int(t), off + a + int(t) + l - 1, s))
+                    out.append(Interval(a + int(t), a + int(t) + l - 1, s))
                 nxt_runs += runs(nxt, a)
             live = nxt_runs
             l += 1

@@ -471,7 +471,7 @@ def _per_pair(task, manifest: Manifest, config: AnalysisConfig, extra=lambda pai
 
     A task reads its own pair's files, so no process holds more than one
     pair's recordings, and a bad file raises from the first pair, in pair
-    order, that has one.
+    order, that has one; after it fails, no further pair starts.
     """
     pair_ids = manifest.pair_ids()
     if not pair_ids:
@@ -479,10 +479,21 @@ def _per_pair(task, manifest: Manifest, config: AnalysisConfig, extra=lambda pai
     args = [(p, manifest.rows_of(p), config, *extra(p)) for p in pair_ids]
     if config.workers > 1 and len(args) > 1:
         # imported here, so a one-process run does not pay for the pool
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(args))) as pool:
-            return list(pool.map(task, args))
+        workers = min(config.workers, len(args))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # One task per worker at a time: the pool starts whatever it has
+            # queued, so after a failure only unsent pairs can be spared.
+            futures, running = [], set()
+            for a in args:
+                if len(running) == workers:
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    if any(f.exception() for f in done):
+                        break
+                futures.append(pool.submit(task, a))
+                running.add(futures[-1])
+            return [f.result() for f in futures]
     return [task(a) for a in args]
 
 

@@ -102,7 +102,7 @@ def oracle_level_walk(xv, yv, beta, l_min):
     the certificate settles at once must come out equal to this.
     """
     c, tol = _prefix_sums(np.asarray(xv, dtype=float), np.asarray(yv, dtype=float), (0,))
-    csum = (*c[:, 0], tol[0])
+    csum = (*c, tol[0])
     n = len(xv)
     out = []
     l = l_min

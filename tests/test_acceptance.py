@@ -239,7 +239,7 @@ def test_criterion_7_wilcoxon_exactness_and_bh():
 
 
 def test_criterion_8_golden_pipeline_run(tmp_path):
-    """End-to-end run on the shipped cohort reproduces the committed report bytes."""
+    """End-to-end run on the shipped cohort reproduces the committed report and selection bytes."""
     t0 = time.time()
     cohort = tmp_path / "cohort"
     out = tmp_path / "out"
@@ -255,5 +255,9 @@ def test_criterion_8_golden_pipeline_run(tmp_path):
     assert got == golden_path.read_bytes(), "report.json deviates from the golden copy"
     got_csv = (out / "report.csv").read_bytes()
     assert got_csv == (DATA / "golden_report.csv").read_bytes()
-    print(f"\ncriterion 8 PASS: report.json and report.csv byte-identical to the "
-          f"golden copies, {time.time()-t0:.0f}s")
+    # every selection, so a miner change that moves an interval but no count fails here
+    tsvs = sorted((out / "intervals").glob("*.tsv"))
+    got_ivs = b"".join(p.name.encode() + b"\n" + p.read_bytes() for p in tsvs)
+    assert got_ivs == (DATA / "golden_intervals.tsv").read_bytes()
+    print(f"\ncriterion 8 PASS: report.json, report.csv and intervals/*.tsv byte-identical "
+          f"to the golden copies, {time.time()-t0:.0f}s")

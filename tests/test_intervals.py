@@ -187,6 +187,10 @@ class TestCorrelatedIntervals:
         y[120] = bad
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ShapeError, match="finite"):
             correlated_intervals(x, y, IntervalParams(l_min=50))
+        # a sample outside the only shift's overlap is still summed over the run
+        x[-1] = bad
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ShapeError, match="finite"):
+            correlated_intervals(x, x.copy(), IntervalParams(l_min=50, shifts=(4,)))
 
 
 class TestRunSlicedLevels:
@@ -533,18 +537,53 @@ class TestShiftGrid:
         x = 3.0 + rng.normal(size=n)
         y = np.round(-2.0 + rng.normal(size=n), 1 + seed)
         shifts = (-12, -5, 0, 4, 12)
+        pad = 12
         c, tol = intervals._prefix_sums(x, y, shifts)
-        assert c.shape == (5, len(shifts), n + 1)
+        assert c.shape == (4 + len(shifts), n + 2 * pad + 1)
+        xc, yc = x - np.mean(x), y - np.mean(y)
+        terms = [xc, yc, xc * xc, yc * yc]
+        for s in shifts:
+            lo, hi = max(-s, 0), n - max(s, 0)
+            xy = np.zeros(n)
+            xy[lo:hi] = xc[lo:hi] * yc[lo + s : hi + s]
+            terms.append(xy)
+        want = [np.cumsum(np.concatenate((np.zeros(pad + 1), v, np.zeros(pad)))) for v in terms]
+        for row, w in zip(c, want):
+            assert row.tobytes() == w.tobytes()
         for i, s in enumerate(shifts):
-            xs, ys = (x[-s:], y[: n + s]) if s < 0 else (x[: n - s], y[s:])
-            xc, yc = xs - np.mean(xs), ys - np.mean(ys)
-            m = len(xs)
-            for row, v in zip(c[:, i], (xc, yc, xc * xc, yc * yc, xc * yc)):
-                want = np.concatenate(([0.0], np.cumsum(v)))
-                assert row[: m + 1].tobytes() == want.tobytes()
-                assert (row[m + 1 :] == want[-1]).all()
-            scale = max(float(np.mean(xc * xc)), float(np.mean(yc * yc)), 1e-300)
-            assert tol[i] == scale * intervals._FLAT_REL
+            # each shift's overlap, read off the run's sums at its own columns
+            lo, hi = pad + max(-s, 0), pad + n - max(s, 0)
+            m = hi - lo
+            sx, sxx = (w[hi] - w[lo] for w in want[0:3:2])
+            sy, syy = (w[hi + s] - w[lo + s] for w in want[1:4:2])
+            assert tol[i] == max((sxx - sx * sx / m) / m, (syy - sy * sy / m) / m) * intervals._FLAT_REL
+            # the mean square of the overlap about its own means
+            xs, ys = x[lo - pad : hi - pad], y[lo - pad + s : hi - pad + s]
+            assert tol[i] == pytest.approx(max(np.var(xs), np.var(ys)) * intervals._FLAT_REL, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_edge_shifts_match_the_oracle(self, seed):
+        # overlaps of exactly l_min (one window) and of l_min - 1 (skipped),
+        # shifts of both signs, and duplicates, against the direct definition
+        n, l_min, beta = 80, 20, 0.8
+        rng = np.random.default_rng(40 + seed)
+        x, y = rng.normal(size=(2, n))
+        y[60:] = x[:20] + 0.2 * rng.normal(size=20)  # shift 60: its one window
+        y[:20] = x[60:] + 0.2 * rng.normal(size=20)  # shift -60
+        y[23:54] = x[20:51] + 0.2 * rng.normal(size=31)  # shift 3
+        shifts = (60, -60, 61, -61, 3, -3, 3, 0, 60)
+        p = IntervalParams(beta=beta, l_min=l_min, shifts=shifts)
+        got = [(iv.start, iv.end, iv.shift) for iv in correlated_intervals(x, y, p)]
+        want = []
+        for s in dict.fromkeys(shifts):
+            lo, hi = max(-s, 0), n - max(s, 0)
+            if hi - lo >= l_min:
+                found = oracle_maximal_intervals(x[lo:hi], y[lo + s : hi + s], beta, l_min)
+                want += [(a + lo, b + lo, s) for a, b in found]
+        assert sorted(got) == sorted(want)
+        assert len(got) == len(set(got))
+        assert {(0, 19, 60), (60, 79, -60)} <= set(got)
+        assert any(s == 3 for _, _, s in got)
 
 
 class TestMineShifted:

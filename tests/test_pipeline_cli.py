@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from dyadgc.granger import cap_order, gc_test, select_order
 from dyadgc.intervals import Interval, IntervalSet
 from dyadgc.pipeline import (
     Manifest,
+    ManifestRow,
     MethodCounts,
     analyze_cells,
     analyze_pair_condition,
@@ -1140,6 +1142,16 @@ def _nan_in(path, row=5):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _started_task(args):
+    """Record that this pair's task started; pair01 fails at once, the others take a while."""
+    pair_id, _, _, started = args
+    (started / pair_id).touch()
+    if pair_id == "pair01":
+        raise FormatError(f"{pair_id}: bad file")
+    time.sleep(0.5)
+    return pair_id
+
+
 class TestPairTasks:
     """A pair is the unit of work: each task reads and analyzes one pair's files."""
 
@@ -1214,6 +1226,19 @@ class TestPairTasks:
         assert f"error: {first}: bad value in row 5: AU45_r is nan" in err
         assert str(later) not in err
         assert not out.exists()
+
+    def test_first_failure_cancels_the_pairs_not_started(self, tmp_path):
+        rows = tuple(
+            ManifestRow(f"pair0{i}", role, "contempt", tmp_path / f"{i}_{role}.csv")
+            for i in range(1, 7)
+            for role in ("sender", "receiver")
+        )
+        started = tmp_path / "started"
+        started.mkdir()
+        with pytest.raises(FormatError, match="pair01"):
+            pipeline._per_pair(_started_task, Manifest(rows), AnalysisConfig(workers=2), lambda p: (started,))
+        assert "pair01" in {p.name for p in started.iterdir()}
+        assert len(list(started.iterdir())) < 6
 
     def test_per_au_refuses_written_selections_before_reading_a_file(self, cohort, monkeypatch):
         reads = []
