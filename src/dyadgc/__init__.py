@@ -67,6 +67,6 @@ from .stats import (
     wilcoxon_signed_rank,
 )
 from .synth import CouplingSpec, gen_au_fixture, gen_coupled_pair, make_demo_cohort
-from .timeseries import TimeSeries, median_filter, runs, standardize
+from .timeseries import TimeSeries, median_filter, runs
 
 __version__ = "0.1.0"

@@ -79,6 +79,9 @@ class AnalysisConfig:
         unknown = [name for name in self.expressions if name not in EXPRESSIONS_BY_NAME]
         if unknown:
             raise ConfigError(f"unknown expressions {unknown}; known: {sorted(EXPRESSIONS_BY_NAME)}")
+        repeated = sorted({name for name in self.expressions if self.expressions.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"expressions named more than once: {repeated}")
         # delegate the interval-parameter validation
         self.interval_params()
 

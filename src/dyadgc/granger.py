@@ -15,8 +15,8 @@ Segments are treated as hard boundaries: no regression row may take lags that
 straddle two segments, so concatenating selected intervals never fabricates
 spurious transitions.
 
-Series are assumed zero-mean (standardize them first); the regressions carry
-no intercept.
+Series are assumed zero-mean (demean each segment first); the regressions
+carry no intercept.
 
 Naming ties the x/y arguments to the dyadic roles: x is the sender, y the
 receiver, so "x causes y" is reported as ``sender_causes_receiver``.
@@ -116,10 +116,11 @@ def cap_order(lengths, m_max: int) -> int:
     """Largest order in [1, m_max] that segments of these lengths can test.
 
     Order M leaves ``n - M`` regression rows in a segment of length n, and the
-    F test needs more than ``2M + 1`` rows in total. Raises InsufficientData
-    when not even order 1 fits.
+    F test needs more than ``2M + 1`` rows in total. No segment has a row at
+    an order as large as its length, so the search starts at the longest
+    segment. Raises InsufficientData when not even order 1 fits.
     """
-    for m in range(m_max, 0, -1):
+    for m in range(min(m_max, max(lengths, default=0)), 0, -1):
         if sum(max(n - m, 0) for n in lengths) > 2 * m + 1:
             return m
     raise InsufficientData(

@@ -14,10 +14,10 @@ recordings. Each command runs only the stages it needs; within a task:
    extended and intersected across the expression's AUs (each AU once per
    pair and condition; ``_mine_task`` stops here);
 4. :func:`analyze_pair_condition` runs the Granger tests on the selected
-   segments and over the full kept span, on the same standardized signals,
-   each selection mined or written by an earlier run (the full span is the
-   selection of all kept runs); in ``per_au`` mode each AU's two tests run in
-   its mine pass and the expression votes over them;
+   segments and over the full kept span, on the signals as synced, each
+   selection mined or written by an earlier run (the full span is the
+   selection of all kept runs); in ``per_au`` mode each AU's two tests run
+   in its mine pass and the expression votes over them;
 5. the parent counts the outcomes into per-condition tables.
 
 Cells that fail (degenerate fits, not enough samples) are recorded and
@@ -73,7 +73,7 @@ from .intervals import (
     segment_series,
 )
 from .stats import ComparisonRow, condition_comparison
-from .timeseries import TimeSeries, standardize
+from .timeseries import TimeSeries
 
 log = logging.getLogger(__name__)
 
@@ -246,20 +246,6 @@ class PipelineResult:
 # per-cell analysis
 
 
-def _kept_run_signals(s_vals: np.ndarray, r_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sender and receiver signal standardized over all kept samples.
-
-    ``s_vals``/``r_vals`` align with the synced frame indices, and
-    :func:`segment_series` cuts the kept runs and every selection from them.
-    Fewer than two kept samples cannot be standardized and are returned as
-    they are: no run is long enough to mine, and every test on them reports
-    ``insufficient``.
-    """
-    if len(s_vals) < 2:
-        return s_vals, r_vals
-    return standardize(s_vals), standardize(r_vals)
-
-
 def _mine_au(pair: SyncedPair, s: np.ndarray, r: np.ndarray, params) -> IntervalSet:
     """One AU's selection: mine every kept run over the shift grid, then postprocess."""
     frames = pair.frames
@@ -306,11 +292,13 @@ def _run_gc(segments, config: AnalysisConfig) -> tuple[str, GCTestResult | None]
 
 
 def _test_selected(pair: SyncedPair, s, r, selection: IntervalSet, config: AnalysisConfig):
-    """Interval-selected (status, result) for one standardized sender/receiver signal.
+    """Interval-selected (status, result) for one sender/receiver signal, as synced.
 
     The selection is clipped to the kept runs, so a confidence gap always
     splits a selected interval. With ``pair.kept_frames`` as the selection
-    this is the full-span test.
+    this is the full-span test. Nothing is rescaled: the F tests and the
+    order choice are unchanged by a positive affine map of either signal,
+    and :func:`_run_gc` demeans each segment.
     """
     if len(selection) == 0:
         return "no_intervals", None
@@ -364,8 +352,7 @@ def _mine(pair: SyncedPair, config: AnalysisConfig, with_tests: bool):
     mined: dict[int, IntervalSet] = {}
     au_tests: dict[int, tuple] = {}
     for au in sorted({au for e in exprs for au in e.au_ids}):
-        row = AU_ROW[au]
-        s, r = _kept_run_signals(pair.sender[row], pair.receiver[row])
+        s, r = pair.sender[AU_ROW[au]], pair.receiver[AU_ROW[au]]
         mined[au] = _mine_au(pair, s, r, params)
         if with_tests:
             au_tests[au] = (
@@ -426,9 +413,7 @@ def analyze_pair_condition(
             full_result = sel_result = None
             note = f"per_au majority over {n_full} full / {n_sel} selected AU tests"
         else:
-            s, r = _kept_run_signals(
-                expression_signal(pair.sender, expr), expression_signal(pair.receiver, expr)
-            )
+            s, r = expression_signal(pair.sender, expr), expression_signal(pair.receiver, expr)
             full_status, full_result = _test_selected(pair, s, r, pair.kept_frames, config)
             sel_status, sel_result = _test_selected(pair, s, r, selection, config)
             full_outcome = None if full_result is None else full_result.outcome

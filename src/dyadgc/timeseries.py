@@ -1,4 +1,4 @@
-"""The miner's frame-anchored run, standardization, run finding and the mask filter.
+"""The miner's frame-anchored run, run finding and the mask filter.
 
 Conventions used package-wide:
 
@@ -8,10 +8,12 @@ Conventions used package-wide:
   intervals become samples, and a :class:`TimeSeries`, anchored to an
   absolute frame via ``start_frame``, is only the input of
   :func:`dyadgc.intervals.mine_shifted`;
+* signals are mined and tested as they are, never rescaled: Pearson's r,
+  the Granger F tests and the AIC/BIC order choice are unchanged by a
+  positive affine map of either signal, so each step centers only where its
+  own arithmetic needs it;
 * descriptive statistics use the sample convention (``ddof=1``, see
-  :data:`STD_DDOF`); :func:`standardize` is the documented exception and
-  divides by the population standard deviation, so a standardized series has
-  zero mean and unit mean square;
+  :data:`STD_DDOF`);
 * a constant signal carries no co-movement evidence: its Pearson correlation
   against anything is defined as 0.
 
@@ -25,13 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSeries, ShapeError
+from .errors import ConfigError, ShapeError
 
 #: ddof for every descriptive standard deviation in the package.
 STD_DDOF = 1
-
-#: standard deviations below this are clamped to 1 before division.
-STD_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,21 +62,6 @@ def runs(bits: np.ndarray, start_frame: int = 0) -> list[tuple[int, int]]:
     flips = np.flatnonzero(padded[1:] != padded[:-1])
     starts, ends = flips[0::2], flips[1::2] - 1
     return [(int(a) + start_frame, int(b) + start_frame) for a, b in zip(starts, ends)]
-
-
-def standardize(values: np.ndarray) -> np.ndarray:
-    """Center to zero mean and scale to unit (population) standard deviation.
-
-    Near-constant input (std below :data:`STD_FLOOR`) is returned as all
-    zeros instead of blowing up the division.
-    """
-    if len(values) < 2:
-        raise DegenerateSeries("standardize needs at least 2 samples")
-    mean = float(np.mean(values))
-    std = float(np.std(values))  # population convention, see module docstring
-    if std < STD_FLOOR:
-        std = 1.0
-    return (values - mean) / std
 
 
 def median_filter(bits: np.ndarray, kernel: int) -> np.ndarray:

@@ -24,7 +24,6 @@ from dyadgc.intervals import (
 )
 from dyadgc.stats import benjamini_hochberg, wilcoxon_signed_rank
 from dyadgc.synth import CouplingSpec, gen_coupled_pair
-from dyadgc.timeseries import TimeSeries, standardize
 
 from generators import active_everywhere, gen_masked_transient_pair, gen_window_pair
 from oracles import (
@@ -170,8 +169,7 @@ def test_criterion_5_interval_selection_beats_full_span():
     trials = 100
     full_ok = sel_ok = 0
     for seed in range(9000, 9000 + trials):
-        x, y, _ = gen_masked_transient_pair(length=6000, seed=seed)
-        xs, ys = TimeSeries(standardize(x.values)), TimeSeries(standardize(y.values))
+        xs, ys, _ = gen_masked_transient_pair(length=6000, seed=seed)
         full = _select_and_test([xs.values], [ys.values])
         full_ok += full.outcome == Direction.SENDER_CAUSES_RECEIVER
 

@@ -354,6 +354,22 @@ class TestCapOrder:
         assert cap_order([20], 12) == 6  # 14 rows > 13, but 13 rows at order 7 are not > 15
         assert cap_order([4, 4], 12) == 1
 
+    def test_huge_m_max_starts_at_the_longest_segment(self):
+        # in a child with a deadline, so a search that counts down from m_max
+        # fails here instead of hanging the suite
+        code = (
+            "from dyadgc.granger import cap_order\n"
+            "assert cap_order([20], 10**15) == 6\n"
+            "assert cap_order([1500, 1490], 10**15) == cap_order([1500, 1490], 1500)\n"
+        )
+        src = str(Path(granger.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_select_order_accepts_the_cap_and_nothing_above(self):
         rng = np.random.default_rng(7)
         xs = [rng.normal(size=20), rng.normal(size=9)]

@@ -13,7 +13,9 @@ import pytest
 
 import dyadgc
 from dyadgc import cli, pipeline
-from dyadgc.au_features import AU_IDS, AU_ROW, EXPRESSIONS, AURecording, parse_au_csv, write_au_csv
+from dyadgc.au_features import (
+    AU_IDS, AU_ROW, EXPRESSIONS, INTENSITY_MAX, AURecording, parse_au_csv, write_au_csv,
+)
 from dyadgc.cli import main
 from dyadgc.config import AnalysisConfig, load_config, with_overrides
 from dyadgc.errors import ConfigError, FormatError
@@ -34,7 +36,6 @@ from dyadgc.pipeline import (
     write_results,
 )
 from dyadgc.synth import make_demo_cohort
-from dyadgc.timeseries import standardize
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,21 @@ class TestConfig:
         argv = ["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
         assert main(argv + ["--expressions", "nonsense"]) == 2
         assert "unknown expressions ['nonsense']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_expression_rejected_when_built(self, tmp_path, capsys):
+        # a name given twice would count every pair twice in its table row
+        with pytest.raises(ConfigError, match="happiness_lower"):
+            AnalysisConfig(expressions=("happiness_lower", "sadness_lower", "happiness_lower"))
+        path = tmp_path / "cfg.txt"
+        path.write_text("expressions = sadness_upper,sadness_upper\n")
+        with pytest.raises(ConfigError, match="sadness_upper"):
+            load_config(path)
+        # the CLI stops at the config, before it reads a recording
+        manifest = _manifest_of_missing_files(tmp_path)
+        argv = ["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--expressions", "happiness_lower,happiness_lower"]) == 2
+        assert "expressions named more than once: ['happiness_lower']" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @staticmethod
@@ -494,13 +510,63 @@ class TestPerCellPath:
         sender, receiver = _pair_with_kept(600, kept)
         cfg = AnalysisConfig(expressions=("happiness_upper",))
         (cell,) = analyze_pair_condition("p1", "respectful", sender, receiver, cfg)
-        # standardized over all kept frames, cut at the gap, each run demeaned
-        signals = [standardize(rec.intensities[AU_ROW[6], kept]) for rec in (sender, receiver)]
+        # the kept frames as recorded, cut at the gap, each run demeaned
+        signals = [rec.intensities[AU_ROW[6], kept] for rec in (sender, receiver)]
         segs_x, segs_y = ([v[:300] - v[:300].mean(), v[300:] - v[300:].mean()] for v in signals)
         order = select_order(segs_x, segs_y, cap_order([300, 290], cfg.m_max), cfg.order_criterion)
         assert cell.full_status == "ok"
         assert cell.full_result == gc_test(segs_x, segs_y, order, cfg.alpha)
         assert cell.full_result.n_effective == (300 - order) + (290 - order)
+
+
+class TestAffineInvariance:
+    """Pearson's r, the F tests and the order choice ignore a positive affine
+    map of either signal, so the cells do not change under one."""
+
+    @staticmethod
+    def _mapped(rec, rng):
+        # one a * v + b for the whole recording, so expression means map alike
+        v = rec.intensities
+        a = rng.uniform(0.5, 1.5)
+        lo, hi = -a * v.min(), INTENSITY_MAX - a * v.max()
+        assert lo < hi
+        w = a * v + rng.uniform(lo, hi)
+        assert 0.0 <= w.min() and w.max() <= INTENSITY_MAX  # nothing clips
+        return AURecording(rec.frame_indices, rec.confidence, w)
+
+    @staticmethod
+    def _assert_same_result(r0, r1):
+        assert (r0 is None) == (r1 is None)
+        if r0 is not None:
+            assert (r0.order, r0.n_effective, r0.outcome) == (r1.order, r1.n_effective, r1.outcome)
+            for name in ("f_y_causes_x", "p_y_causes_x", "f_x_causes_y", "p_x_causes_y"):
+                assert getattr(r1, name) == pytest.approx(getattr(r0, name), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("signal_mode", ["expression_mean", "per_au"])
+    @pytest.mark.parametrize("condition", ["contempt", "respectful"])
+    def test_cells_unchanged_by_affine_intensities(self, cohort, condition, signal_mode):
+        manifest = Manifest.load(cohort)
+        rows = {r.role: r for r in manifest.rows_of("pair02") if r.condition == condition}
+        sender, receiver = (parse_au_csv(rows[role].path) for role in ("sender", "receiver"))
+        rng = np.random.default_rng(24)
+        cfg = AnalysisConfig(signal_mode=signal_mode)
+        before = analyze_pair_condition("pair02", condition, sender, receiver, cfg)
+        after = analyze_pair_condition(
+            "pair02", condition, self._mapped(sender, rng), self._mapped(receiver, rng), cfg
+        )
+        # low-confidence frames split the pair into several runs, and the
+        # planted expression has a selection to test
+        assert all(c.kept_frames < sender.n_frames for c in before)
+        assert any(c.sel_status == "ok" and len(c.intervals) for c in before)
+        for c0, c1 in zip(before, after, strict=True):
+            assert (c0.full_status, c0.sel_status, c0.full_outcome, c0.sel_outcome) == (
+                c1.full_status, c1.sel_status, c1.full_outcome, c1.sel_outcome
+            )
+            assert (c0.intervals, c0.selected_frames, c0.kept_frames, c0.note) == (
+                c1.intervals, c1.selected_frames, c1.kept_frames, c1.note
+            )
+            self._assert_same_result(c0.full_result, c1.full_result)
+            self._assert_same_result(c0.sel_result, c1.sel_result)
 
 
 class TestMiningPerAU:

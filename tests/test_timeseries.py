@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
-from dyadgc.errors import ConfigError, DegenerateSeries, ShapeError
-from dyadgc.timeseries import TimeSeries, median_filter, runs, standardize
+from dyadgc.errors import ConfigError, ShapeError
+from dyadgc.timeseries import TimeSeries, median_filter, runs
 
 from oracles import oracle_majority_filter
 
 
 def ts(values, start=0):
     return TimeSeries(np.asarray(values, dtype=float), start)
-
-
-def arr(values):
-    return np.asarray(values, dtype=float)
 
 
 class TestTimeSeries:
@@ -60,30 +56,6 @@ class TestRuns:
         assert np.array_equal(rebuilt, bits)
         # maximal: consecutive runs are separated by at least one false bit
         assert all(b + 1 < a for (_, b), (a, _) in zip(got, got[1:]))
-
-
-class TestStandardize:
-    def test_three_point_example(self):
-        # population-std scaling: [1,2,3] -> +-sqrt(3/2)
-        out = standardize(arr([1, 2, 3]))
-        np.testing.assert_allclose(out, [-1.2247448714, 0.0, 1.2247448714], atol=1e-9)
-        assert abs(out.mean()) < 1e-10
-        assert abs(np.std(out) - 1.0) < 1e-10
-
-    def test_constant_clamped_to_zeros(self):
-        out = standardize(arr([5, 5, 5, 5]))
-        assert np.array_equal(out, np.zeros(4))
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(3.0, 2.5, 400)
-        once = standardize(x)
-        twice = standardize(once)
-        np.testing.assert_allclose(once, twice, atol=1e-9)
-
-    def test_too_short(self):
-        with pytest.raises(DegenerateSeries):
-            standardize(arr([1.0]))
 
 
 class TestMedianFilter:
